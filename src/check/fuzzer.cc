@@ -246,11 +246,7 @@ FuzzRunReport RunScenarioDocChecked(const Json& doc, uint64_t max_events,
     const int lanes = e.shards();
     for (int lane = 0; lane < lanes; ++lane) {
       registries.emplace_back();
-      if (lanes == 1) {
-        InstallStandardMonitors(registries.back(), e, mo);
-      } else {
-        InstallStandardMonitors(registries.back(), e, mo, lane);
-      }
+      InstallStandardMonitors(registries.back(), e, mo, lane);
       if (extra) extra(registries.back(), e);
     }
     const scenario::InstalledEvents events = scenario::InstallEvents(e, s);

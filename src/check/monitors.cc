@@ -322,12 +322,8 @@ void CheckFlowProgress(MonitorRegistry& registry, runner::Experiment& e,
 
 // ---- InstallStandardMonitors ------------------------------------------------
 
-namespace {
-
-// The monitor set with bounds derived from the full topology/config —
-// shared by the whole-fabric and shard-local installers.
-void AddStandardMonitors(MonitorRegistry& registry, runner::Experiment& e,
-                         const StandardMonitorOptions& options) {
+void InstallStandardMonitors(MonitorRegistry& registry, runner::Experiment& e,
+                             const StandardMonitorOptions& options, int lane) {
   topo::Topology& topology = e.topology();
   const runner::ExperimentConfig& cfg = e.config();
 
@@ -372,22 +368,9 @@ void AddStandardMonitors(MonitorRegistry& registry, runner::Experiment& e,
 
   registry.Add(std::make_unique<CcSanityMonitor>(max_nic_bps));
   registry.Add(std::make_unique<LosslessDropMonitor>(cfg.pfc_enabled));
-}
 
-}  // namespace
-
-void InstallStandardMonitors(MonitorRegistry& registry, runner::Experiment& e,
-                             const StandardMonitorOptions& options) {
-  AddStandardMonitors(registry, e, options);
-  registry.set_clock(&e.simulator());
-  registry.AttachTo(e.topology());
-}
-
-void InstallStandardMonitors(MonitorRegistry& registry, runner::Experiment& e,
-                             const StandardMonitorOptions& options, int lane) {
-  AddStandardMonitors(registry, e, options);
   registry.set_clock(&e.lane_simulator(lane));
-  registry.AttachTo(e.topology(), e.lane_nodes(lane));
+  registry.AttachTo(topology, e.lane_nodes(lane));
 }
 
 }  // namespace hpcc::check

@@ -153,9 +153,9 @@ class TelemetrySession {
  public:
   TelemetrySession(const TelemetryConfig& cfg, check::MonitorRegistry* registry,
                    runner::Experiment* experiment);
-  // Sharded variant: one recorder per lane registry. Counter totals are
-  // summed over the lanes by counters(); sampled tracks require trace mode,
-  // which forces shards=1, so the samplers only ever run single-sim.
+  // Lane variant: one recorder per lane registry. Counter totals are summed
+  // over the lanes by counters(); sampled tracks require trace mode, which
+  // forces shards=1, so the samplers only ever run on one lane.
   TelemetrySession(const TelemetryConfig& cfg,
                    const std::vector<check::MonitorRegistry*>& registries,
                    runner::Experiment* experiment);
@@ -168,7 +168,7 @@ class TelemetrySession {
   const TelemetryRecorder& recorder() const { return *recorder_; }
   // Counter totals over every lane recorder (== recorder().counters() on a
   // single-registry session). Plain sums, so the aggregate is byte-equal to
-  // the single-sim totals whatever the shard count.
+  // the one-lane totals whatever the shard count.
   TelemetryCounters counters() const;
   // Warm restore (single-lane sessions only — warm checkpoints force
   // shards=1): seeds the recorder with the checkpoint's counter baseline.

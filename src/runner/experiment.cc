@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstdio>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -32,6 +31,8 @@ net::SwitchConfig Experiment::MakeSwitchConfig() const {
 
 void Experiment::BuildTopology() {
   const net::SwitchConfig sw = MakeSwitchConfig();
+  // Built quiescent on lane 0's arena; SetupLanes re-homes other lanes' nodes.
+  sim::Simulator* sim = lanes_[0]->sim.get();
   host::HostConfig hc;
   hc.int_sample_every = config_.int_sample_every;
   hc.fast_path = config_.fast_path;
@@ -40,7 +41,7 @@ void Experiment::BuildTopology() {
       topo::FatTreeOptions o = config_.fattree;
       o.sw = sw;
       o.host = hc;
-      auto built = topo::MakeFatTree(simulator_.get(), o, config_.fabric_snapshot);
+      auto built = topo::MakeFatTree(sim, o, config_.fabric_snapshot);
       topology_ = std::move(built.topo);
       hosts_ = built.host_ids;
       break;
@@ -49,7 +50,7 @@ void Experiment::BuildTopology() {
       topo::TestbedOptions o = config_.testbed;
       o.sw = sw;
       o.host = hc;
-      auto built = topo::MakeTestbed(simulator_.get(), o, config_.fabric_snapshot);
+      auto built = topo::MakeTestbed(sim, o, config_.fabric_snapshot);
       topology_ = std::move(built.topo);
       hosts_ = built.host_ids;
       break;
@@ -58,7 +59,7 @@ void Experiment::BuildTopology() {
       topo::StarOptions o = config_.star;
       o.sw = sw;
       o.host = hc;
-      auto built = topo::MakeStar(simulator_.get(), o, config_.fabric_snapshot);
+      auto built = topo::MakeStar(sim, o, config_.fabric_snapshot);
       topology_ = std::move(built.topo);
       hosts_ = built.host_ids;
       break;
@@ -67,7 +68,7 @@ void Experiment::BuildTopology() {
       topo::DumbbellOptions o = config_.dumbbell;
       o.sw = sw;
       o.host = hc;
-      auto built = topo::MakeDumbbell(simulator_.get(), o, config_.fabric_snapshot);
+      auto built = topo::MakeDumbbell(sim, o, config_.fabric_snapshot);
       topology_ = std::move(built.topo);
       hosts_ = built.left_hosts;
       hosts_.insert(hosts_.end(), built.right_hosts.begin(),
@@ -103,12 +104,16 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
         "flow_class=fluid requires the hybrid engine (hybrid.enabled)");
   }
   if (!config_.trace_file.empty()) {
-    // Parse once; sharded lanes share the parsed records by pointer.
+    // Parse once; lanes share the parsed records by pointer.
     trace_records_ =
         std::make_shared<const std::vector<workload::TraceRecord>>(
             workload::LoadFlowTrace(config_.trace_file));
   }
-  simulator_ = std::make_unique<sim::Simulator>();
+  lanes_.reserve(static_cast<size_t>(config_.shards));
+  for (int i = 0; i < config_.shards; ++i) {
+    lanes_.push_back(std::make_unique<Lane>());
+    lanes_.back()->sim = std::make_unique<sim::Simulator>();
+  }
   BuildTopology();
   base_rtt_ = config_.base_rtt_override > 0 ? config_.base_rtt_override
                                             : topology_->MaxBaseRtt();
@@ -118,62 +123,35 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
     }
   }
 
-  fct_ = MakeFctRecorder();
-
   if (config_.hybrid.enabled) {
     analytic::FluidRegionParams fp;
     fp.tick = config_.hybrid.tick > 0 ? config_.hybrid.tick : base_rtt_;
     // Projected fluid qLen is clamped to the same buffer bound the
     // IntSanityMonitor enforces on real queues.
     fp.qlen_cap_bytes = MakeSwitchConfig().buffer_bytes;
-    fluid_ = std::make_unique<analytic::FluidRegion>(simulator_.get(),
+    fluid_ = std::make_unique<analytic::FluidRegion>(&simulator(),
                                                      topology_.get(), fp);
+    Lane* lane = lanes_[0].get();
     fluid_->set_completion_callback(
-        [this](const analytic::FluidRegion::FlowRecord& rec, sim::TimePs now) {
-          fct_->Record(rec.size_bytes, now - rec.start,
-                       topology_->IdealFct(rec.src, rec.dst, rec.size_bytes));
+        [this, lane](const analytic::FluidRegion::FlowRecord& rec,
+                     sim::TimePs now) {
+          lane->fct->Record(rec.size_bytes, now - rec.start,
+                            topology_->IdealFct(rec.src, rec.dst,
+                                                rec.size_bytes));
           if (rec.size_bytes <= config_.short_flow_bytes) {
-            short_fct_us_.Add(sim::ToUs(now - rec.start));
+            lane->short_fct_us.Add(sim::ToUs(now - rec.start));
           }
         });
   }
-
-  if (config_.shards > 1) {
-    SetupShards();
-    return;
-  }
-  lane_node_ids_.resize(1);
-  lane_node_ids_[0].resize(topology_->num_nodes());
-  std::iota(lane_node_ids_[0].begin(), lane_node_ids_[0].end(), 0u);
-
-  // Flow completion wiring: every host reports into the shared recorder.
-  for (uint32_t h : hosts_) {
-    topology_->host(h).set_flow_done_callback(
-        [this](const host::Flow& f, sim::TimePs now) {
-          if (f.failed) {
-            // Give-up: the flow never delivered, so it must not feed the FCT
-            // distributions — only the failure count.
-            ++flows_failed_;
-            return;
-          }
-          ++flows_completed_;
-          const auto& s = f.spec();
-          fct_->Record(s.size_bytes, now - s.start_time,
-                       topology_->IdealFct(s.src, s.dst, s.size_bytes));
-          if (s.size_bytes <= config_.short_flow_bytes) {
-            short_fct_us_.Add(sim::ToUs(now - s.start_time));
-          }
-        });
-  }
-  InstallMonitors();
-  MakeSources(simulator_.get(), 0, &sources_);
+  SetupLanes();
 }
 
-void Experiment::MakeSources(
-    sim::Simulator* sim, int lane,
-    std::vector<std::unique_ptr<workload::TrafficSource>>* out) {
+void Experiment::MakeSources(int lane) {
   // Install order is a determinism contract: Poisson, trace replay, incast.
   // Warm checkpoints, lane replicas and StartWorkload all rely on it.
+  sim::Simulator* sim = lanes_[lane]->sim.get();
+  std::vector<std::unique_ptr<workload::TrafficSource>>* out =
+      &lanes_[lane]->sources;
   if (config_.load > 0) {
     workload::FlowSink sink = [this, lane](uint32_t src, uint32_t dst,
                                            uint64_t size, sim::TimePs start) {
@@ -228,8 +206,8 @@ void Experiment::MakeSources(
 
 Experiment::~Experiment() = default;
 
-void Experiment::SetupShards() {
-  const int n = config_.shards;
+void Experiment::SetupLanes() {
+  const int n = shards();
   std::vector<int> lane_of =
       config_.topology == TopologyKind::kFatTree
           ? topo::FatTreeLanes(config_.fattree, n)
@@ -244,29 +222,12 @@ void Experiment::SetupShards() {
   total_ports_ = 0;
   for (uint32_t id = 0; id < topology_->num_nodes(); ++id) {
     total_ports_ += topology_->node(id).num_ports();
-  }
-  lane_node_ids_.resize(n);
-  for (uint32_t id = 0; id < topology_->num_nodes(); ++id) {
-    lane_node_ids_[partition_.lane_of_node[id]].push_back(id);
-  }
-
-  lanes_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    auto lane = std::make_unique<Lane>();
-    if (i == 0) {
-      lane->sim = simulator_.get();
-    } else {
-      lane->owned_sim = std::make_unique<sim::Simulator>();
-      lane->sim = lane->owned_sim.get();
-    }
-    lanes_.push_back(std::move(lane));
-  }
-  // Re-home every node (and its ports) onto its lane's event arena. The
-  // topology was built quiescent on lane 0's simulator, so this is a plain
-  // pointer swap.
-  for (uint32_t id = 0; id < topology_->num_nodes(); ++id) {
     const int li = partition_.lane_of_node[id];
-    if (li != 0) topology_->node(id).set_simulator(lanes_[li]->sim);
+    lanes_[li]->nodes.push_back(id);
+    // Re-home every node (and its ports) onto its lane's event arena. The
+    // topology was built quiescent on lane 0's simulator, so this is a plain
+    // pointer swap.
+    if (li != 0) topology_->node(id).set_simulator(lanes_[li]->sim.get());
   }
   // Each direction of a cut link becomes an SPSC channel owned by the
   // consumer lane; the producer port commits arrivals into it instead of its
@@ -286,9 +247,9 @@ void Experiment::SetupShards() {
     Lane& lane = *lanes_[i];
     lane.fct = MakeFctRecorder();
     lane.pfc = std::make_unique<stats::PfcMonitor>();
-    lane.pfc->AttachTo(*topology_, lane_node_ids_[i]);
+    lane.pfc->AttachTo(*topology_, lane.nodes);
     lane.queue_monitor = std::make_unique<stats::QueueMonitor>(
-        lane.sim, topology_.get(), config_.queue_sample_interval);
+        lane.sim.get(), topology_.get(), config_.queue_sample_interval);
     lane.queue_monitor->set_switches(partition_.lane_switches[i]);
   }
   // Flow completion wiring: every host reports into its owning lane's
@@ -299,6 +260,8 @@ void Experiment::SetupShards() {
     topology_->host(h).set_flow_done_callback(
         [this, lane](const host::Flow& f, sim::TimePs now) {
           if (f.failed) {
+            // Give-up: the flow never delivered, so it must not feed the FCT
+            // distributions — only the failure count.
             ++lane->flows_failed;
             return;
           }
@@ -311,65 +274,26 @@ void Experiment::SetupShards() {
           }
         });
   }
-  // Replicated sources: every lane draws the full workload with the
-  // single-sim seeds over ALL hosts; AddFlowOnLane keeps only the flows the
-  // lane owns, while phantom draws still consume the lane's flow-id counter,
-  // so ids match shards=1 creation order exactly. (Hybrid runs never get
-  // here — fluid dispatch requires shards=1 — so AddWorkloadFlow reduces to
-  // AddFlowOnLane for every replicated source.)
-  for (int i = 0; i < n; ++i) {
-    MakeSources(lanes_[i]->sim, i, &lanes_[i]->sources);
-  }
-}
-
-void Experiment::InstallMonitors() {
-  pfc_monitor_.AttachTo(*topology_);
-  queue_monitor_ = std::make_unique<stats::QueueMonitor>(
-      simulator_.get(), topology_.get(), config_.queue_sample_interval);
-  total_ports_ = 0;
-  for (uint32_t id = 0; id < topology_->num_nodes(); ++id) {
-    total_ports_ += topology_->node(id).num_ports();
-  }
+  // Replicated sources: every lane draws the full workload with the same
+  // seeds over ALL hosts; AddFlowOnLane keeps only the flows the lane owns,
+  // while phantom draws still consume the lane's flow-id counter, so ids
+  // follow one global creation order whatever the lane count.
+  for (int i = 0; i < n; ++i) MakeSources(i);
 }
 
 host::Flow* Experiment::AddFlow(uint32_t src, uint32_t dst, uint64_t bytes,
                                 sim::TimePs start) {
-  if (config_.shards > 1) {
-    // Replicate the draw in every lane so flow-id counters stay aligned;
-    // exactly one lane owns `src` and returns the live flow.
-    host::Flow* out = nullptr;
-    for (int i = 0; i < config_.shards; ++i) {
-      host::Flow* f = AddFlowOnLane(i, src, dst, bytes, start);
-      if (f != nullptr) out = f;
-    }
-    return out;
+  // Exactly one lane owns `src` and returns the live flow.
+  host::Flow* out = nullptr;
+  for (int i = 0; i < shards(); ++i) {
+    host::Flow* f = AddFlowOnLane(i, src, dst, bytes, start);
+    if (f != nullptr) out = f;
   }
-  if (src == dst) throw std::invalid_argument("flow src == dst");
-  host::HostNode& h = topology_->host(src);
-  host::FlowSpec spec;
-  spec.id = next_flow_id_++;
-  spec.src = src;
-  spec.dst = dst;
-  spec.size_bytes = bytes;
-  spec.start_time = start;
-
-  cc::CcContext ctx;
-  ctx.nic_bps = h.port(0).bandwidth_bps();
-  ctx.base_rtt = base_rtt_;
-  ctx.mtu_bytes = h.config().mtu_bytes;
-  ctx.simulator = simulator_.get();
-
-  auto flow = std::make_unique<host::Flow>(spec, cc::MakeCc(config_.cc, ctx),
-                                           config_.recovery);
-  host::Flow* raw = flow.get();
-  h.AddFlow(std::move(flow));
-  flow_ptrs_.push_back(raw);
-  return raw;
+  return out;
 }
 
 host::Flow* Experiment::AddFlowOnLane(int lane, uint32_t src, uint32_t dst,
                                       uint64_t bytes, sim::TimePs start) {
-  if (config_.shards == 1) return AddFlow(src, dst, bytes, start);
   if (src == dst) throw std::invalid_argument("flow src == dst");
   Lane& L = *lanes_[lane];
   const uint64_t id = L.next_flow_id++;  // consumed whether owned or not
@@ -387,7 +311,7 @@ host::Flow* Experiment::AddFlowOnLane(int lane, uint32_t src, uint32_t dst,
   ctx.nic_bps = h.port(0).bandwidth_bps();
   ctx.base_rtt = base_rtt_;
   ctx.mtu_bytes = h.config().mtu_bytes;
-  ctx.simulator = L.sim;
+  ctx.simulator = L.sim.get();
 
   auto flow = std::make_unique<host::Flow>(spec, cc::MakeCc(config_.cc, ctx),
                                            config_.recovery);
@@ -412,9 +336,10 @@ void Experiment::AddFluidFlow(uint32_t src, uint32_t dst, uint64_t bytes,
   if (fluid_ == nullptr) {
     throw std::logic_error("fluid flow without hybrid.enabled");
   }
-  // Same id space as packet flows (shards==1 here), so packet and fluid
-  // flows interleave in one creation order and the trace hash stays total.
-  const uint64_t id = next_flow_id_++;
+  // Same id space as packet flows (hybrid runs are single-lane), so packet
+  // and fluid flows interleave in one creation order and the trace hash
+  // stays total.
+  const uint64_t id = lanes_[0]->next_flow_id++;
   fluid_->AddFlow(id, src, dst, bytes, start);
 }
 
@@ -422,31 +347,33 @@ void Experiment::InstallLinkEvent(sim::TimePs at, size_t link, bool up) {
   if (link >= topology_->links().size()) {
     throw std::invalid_argument("link event index out of range");
   }
-  if (config_.shards == 1) {
-    simulator_->ScheduleAt(
-        at, [this, link, up] { topology_->SetLinkUp(link, up); });
-    return;
-  }
   for (auto& lp : lanes_) {
     Lane& lane = *lp;
     const uint64_t seq = lane.sim->next_schedule_seq();
     lane.sim->ScheduleAt(at, [] {});
     lane.marks.push_back({at, seq});
   }
+  // Pending events stay sorted by (time, install order).
+  const auto pos = std::upper_bound(
+      script_order_.begin() + static_cast<std::ptrdiff_t>(script_next_),
+      script_order_.end(), at,
+      [this](sim::TimePs t, size_t i) { return t < script_[i].at; });
+  script_order_.insert(pos, script_.size());
   script_.push_back({at, link, up});
 }
 
 host::Flow* Experiment::AddReadFlow(uint32_t requester, uint32_t responder,
                                     uint64_t bytes, sim::TimePs start) {
-  if (config_.shards > 1) {
+  if (shards() > 1) {
     throw std::logic_error("read flows require shards=1");
   }
   if (requester == responder) {
     throw std::invalid_argument("read requester == responder");
   }
+  Lane& L = *lanes_[0];
   host::HostNode& resp = topology_->host(responder);
   host::FlowSpec spec;
-  spec.id = next_flow_id_++;
+  spec.id = L.next_flow_id++;
   spec.src = responder;  // data flows responder -> requester
   spec.dst = requester;
   spec.size_bytes = bytes;
@@ -456,43 +383,26 @@ host::Flow* Experiment::AddReadFlow(uint32_t requester, uint32_t responder,
   ctx.nic_bps = resp.port(0).bandwidth_bps();
   ctx.base_rtt = base_rtt_;
   ctx.mtu_bytes = resp.config().mtu_bytes;
-  ctx.simulator = simulator_.get();
+  ctx.simulator = L.sim.get();
 
   auto flow = std::make_unique<host::Flow>(spec, cc::MakeCc(config_.cc, ctx),
                                            config_.recovery);
   host::Flow* raw = flow.get();
   resp.AddPendingFlow(std::move(flow));
-  flow_ptrs_.push_back(raw);
+  L.flow_ptrs.push_back(raw);
 
   const uint64_t id = spec.id;
-  simulator_->ScheduleAt(start, [this, requester, responder, id]() {
+  L.sim->ScheduleAt(start, [this, requester, responder, id]() {
     topology_->host(requester).SendReadRequest(id, responder);
   });
   return raw;
 }
 
-void Experiment::RunUntil(sim::TimePs until) {
-  if (config_.shards > 1) {
-    throw std::logic_error("RunUntil requires shards=1");
-  }
-  if (!queue_monitor_started_) {
-    queue_monitor_started_ = true;
-    queue_monitor_->Start(config_.duration);
-  }
-  simulator_->Run(until);
-}
-
 void Experiment::set_event_budget(uint64_t max_total_events) {
-  simulator_->set_event_budget(max_total_events);
-  for (auto& lp : lanes_) {
-    if (lp->owned_sim != nullptr) {
-      lp->owned_sim->set_event_budget(max_total_events);
-    }
-  }
+  for (auto& lp : lanes_) lp->sim->set_event_budget(max_total_events);
 }
 
 bool Experiment::budget_exhausted() const {
-  if (simulator_->budget_exhausted()) return true;
   for (const auto& lp : lanes_) {
     if (lp->sim->budget_exhausted()) return true;
   }
@@ -501,23 +411,24 @@ bool Experiment::budget_exhausted() const {
 
 void Experiment::set_wall_deadline(
     std::chrono::steady_clock::time_point deadline) {
-  simulator_->set_wall_deadline(deadline);
-  for (auto& lp : lanes_) {
-    if (lp->owned_sim != nullptr) lp->owned_sim->set_wall_deadline(deadline);
-  }
+  for (auto& lp : lanes_) lp->sim->set_wall_deadline(deadline);
 }
 
 bool Experiment::deadline_exceeded() const {
-  if (simulator_->deadline_exceeded()) return true;
   for (const auto& lp : lanes_) {
     if (lp->sim->deadline_exceeded()) return true;
   }
   return false;
 }
 
+uint64_t Experiment::flows_completed() const {
+  uint64_t n = 0;
+  for (const auto& lp : lanes_) n += lp->flows_completed;
+  return n;
+}
+
 std::vector<const host::Flow*> Experiment::AllFlows() const {
   std::vector<const host::Flow*> out;
-  out.insert(out.end(), flow_ptrs_.begin(), flow_ptrs_.end());
   for (const auto& lp : lanes_) {
     out.insert(out.end(), lp->flow_ptrs.begin(), lp->flow_ptrs.end());
   }
@@ -544,94 +455,58 @@ void Experiment::DrainInbound(Lane& lane, sim::TimePs horizon) {
   }
 }
 
-ExperimentResult Experiment::RunSharded() {
-  const int n = config_.shards;
-  // Same per-lane start order as the single-sim Run, so every lane's seq
-  // counter replays the same schedule sequence.
-  for (auto& lp : lanes_) {
-    Lane& lane = *lp;
-    for (auto& src : lane.sources) src->Start();
-    lane.queue_monitor->Start(config_.duration);
-  }
-
-  // Coordinator application order: script events by (time, install order).
-  // Lane marker lists stay install-ordered, so sorted entries carry their
-  // install index to look up each lane's marker seq.
-  std::vector<size_t> order(script_.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    return script_[a].at < script_[b].at;
-  });
-
-  const sim::TimePs cap =
-      config_.duration +
-      static_cast<sim::TimePs>(config_.drain_factor *
-                               static_cast<double>(config_.duration));
+void Experiment::RunLanes(sim::TimePs until) {
+  const int n = shards();
   constexpr size_t kNoMark = std::numeric_limits<size_t>::max();
-
-  struct Shared {
-    sim::TimePs now = 0;       // barrier time (every lane's clock)
-    sim::TimePs target = 0;    // current round horizon
-    size_t mark = 0;           // script index bounding the round, or kNoMark
-    sim::TimePs chunk = 0;     // next single-sim Run horizon
-    size_t cursor = 0;         // next entry of `order`
+  struct Round {
+    sim::TimePs now = 0;     // barrier time (every lane's clock)
+    sim::TimePs target = 0;  // this round's horizon
+    size_t mark = kNoMark;   // script event bounding the round, or kNoMark
     sim::TimePs lookahead = 0;
     bool done = false;
-  } shared;
-  shared.mark = kNoMark;
-  shared.chunk = config_.duration;
-  shared.lookahead = topo::UpLookahead(*topology_, partition_);
+  } round;
+  round.now = simulator().now();
+  round.lookahead = topo::UpLookahead(*topology_, partition_);
 
   auto retarget = [&] {
-    sim::TimePs t = shared.chunk;
-    shared.mark = kNoMark;
-    if (shared.cursor < order.size() &&
-        script_[order[shared.cursor]].at <= t) {
-      shared.mark = order[shared.cursor];
-      t = script_[shared.mark].at;
+    sim::TimePs t = until;
+    round.mark = kNoMark;
+    if (script_next_ < script_order_.size() &&
+        script_[script_order_[script_next_]].at <= t) {
+      round.mark = script_order_[script_next_];
+      t = script_[round.mark].at;
     }
     // The conservative window: a record committed after the last barrier
     // arrives strictly beyond now + lookahead (serialization takes > 0 ps),
     // so lanes never receive an arrival from their past. The guard form is
     // overflow-safe against a huge finite lookahead.
-    if (shared.lookahead != topo::kUnboundedLookahead &&
-        shared.lookahead < t - shared.now) {
-      t = shared.now + shared.lookahead;
-      shared.mark = kNoMark;
+    if (round.lookahead != topo::kUnboundedLookahead &&
+        round.lookahead < t - round.now) {
+      t = round.now + round.lookahead;
+      round.mark = kNoMark;
     }
-    shared.target = t;
+    round.target = t;
   };
 
-  // Runs while every lane is blocked at the barrier, so single-threaded
+  // Runs while every lane is parked at the barrier, so single-threaded
   // access to the whole fabric (SetLinkUp rewires routes globally) is safe.
   auto coordinate = [&]() noexcept {
-    shared.now = shared.target;
-    bool exhausted = false;
+    round.now = round.target;
+    // A watchdog stop leaves its lane short of the target, so a pending mark
+    // was never reached and must not apply.
     for (const auto& lp : lanes_) {
-      exhausted |= lp->sim->budget_exhausted() || lp->sim->deadline_exceeded();
-    }
-    if (shared.mark != kNoMark) {
-      const ScriptEvent& ev = script_[shared.mark];
-      topology_->SetLinkUp(ev.link, ev.up);
-      ++shared.cursor;
-      shared.lookahead = topo::UpLookahead(*topology_, partition_);
-    } else if (shared.now == shared.chunk) {
-      // Chunk boundary: replicate the single-sim drain loop's decisions
-      // exactly, so the final clock (= sim_time) is byte-identical.
-      uint64_t created = 0;
-      uint64_t finished = 0;  // completed or failed — either way, settled
-      for (const auto& lp : lanes_) {
-        created += lp->flow_ptrs.size();
-        finished += lp->flows_completed + lp->flows_failed;
-      }
-      if (finished >= created || shared.now >= cap || exhausted) {
-        shared.done = true;
+      if (lp->sim->budget_exhausted() || lp->sim->deadline_exceeded()) {
+        round.done = true;
         return;
       }
-      shared.chunk = shared.now + sim::Ms(1);
     }
-    if (exhausted) {
-      shared.done = true;
+    if (round.mark != kNoMark) {
+      const ScriptEvent& ev = script_[round.mark];
+      topology_->SetLinkUp(ev.link, ev.up);
+      ++script_next_;
+      round.lookahead = topo::UpLookahead(*topology_, partition_);
+    } else if (round.now == until) {
+      round.done = true;
       return;
     }
     retarget();
@@ -641,70 +516,82 @@ ExperimentResult Experiment::RunSharded() {
   auto lane_loop = [&](int li) {
     Lane& lane = *lanes_[li];
     for (;;) {
-      const sim::TimePs t = shared.target;
       const uint64_t bound =
-          shared.mark != kNoMark ? lane.marks[shared.mark].seq
-                                 : std::numeric_limits<uint64_t>::max();
-      DrainInbound(lane, t);
-      lane.sim->Run(t, bound);
+          round.mark != kNoMark ? lane.marks[round.mark].seq
+                                : std::numeric_limits<uint64_t>::max();
+      DrainInbound(lane, round.target);
+      lane.sim->Run(round.target, bound);
       sync.arrive_and_wait();
-      if (shared.done) break;
+      if (round.done) break;
     }
   };
 
   retarget();
   std::vector<std::thread> workers;
-  workers.reserve(n - 1);
+  workers.reserve(static_cast<size_t>(n - 1));
   for (int i = 1; i < n; ++i) workers.emplace_back(lane_loop, i);
   lane_loop(0);
   for (std::thread& w : workers) w.join();
-  return CollectSharded();
+}
+
+void Experiment::StartQueueMonitors() {
+  if (queue_monitor_started_) return;
+  queue_monitor_started_ = true;
+  for (auto& lp : lanes_) lp->queue_monitor->Start(config_.duration);
+}
+
+void Experiment::RunUntil(sim::TimePs until) {
+  StartQueueMonitors();
+  RunLanes(until);
 }
 
 ExperimentResult Experiment::Run() {
-  if (config_.shards > 1) return RunSharded();
   StartWorkload();
   return FinishRun();
 }
 
 void Experiment::StartWorkload() {
-  if (config_.shards > 1) {
-    throw std::logic_error("StartWorkload requires shards=1");
+  // Each lane starts its sources in install order on its own arena, so
+  // every lane's seq counter replays the same schedule sequence.
+  for (auto& lp : lanes_) {
+    for (auto& src : lp->sources) src->Start();
   }
-  for (auto& src : sources_) src->Start();
-  if (!queue_monitor_started_) {
-    queue_monitor_started_ = true;
-    queue_monitor_->Start(config_.duration);
+  StartQueueMonitors();
+}
+
+bool Experiment::Settled() const {
+  uint64_t created = 0;
+  uint64_t finished = 0;  // completed or failed — either way, settled
+  for (const auto& lp : lanes_) {
+    created += lp->flow_ptrs.size();
+    finished += lp->flows_completed + lp->flows_failed;
   }
+  return finished >= created && (fluid_ == nullptr || !fluid_->active());
 }
 
 ExperimentResult Experiment::FinishRun() {
-  if (config_.shards > 1) {
-    throw std::logic_error("FinishRun requires shards=1");
-  }
-  simulator_->Run(config_.duration);
+  RunLanes(config_.duration);
   // Drain: let in-flight flows finish so their FCTs are recorded.
   const sim::TimePs cap =
       config_.duration +
       static_cast<sim::TimePs>(config_.drain_factor *
                                static_cast<double>(config_.duration));
-  while ((flows_completed_ + flows_failed_ < flow_ptrs_.size() ||
-          (fluid_ != nullptr && fluid_->active())) &&
-         simulator_->now() < cap && !simulator_->budget_exhausted() &&
-         !simulator_->deadline_exceeded()) {
-    // A frozen clock under an exhausted event budget would spin here forever.
-    simulator_->Run(simulator_->now() + sim::Ms(1));
+  // A frozen clock under an exhausted event budget would spin here forever.
+  while (!Settled() && simulator().now() < cap && !budget_exhausted() &&
+         !deadline_exceeded()) {
+    RunLanes(simulator().now() + sim::Ms(1));
   }
   return Collect();
 }
 
 bool Experiment::QuiescentForWarmCheckpoint(size_t external_pending) {
-  if (config_.shards > 1) return false;
+  if (shards() > 1) return false;
   // Hybrid runs are always cold: the fluid engine's continuous link/window
   // state has no warm capture surface.
   if (fluid_ != nullptr) return false;
+  const Lane& L = *lanes_[0];
   // Every created flow fully delivered and acknowledged.
-  if (flows_completed_ != flow_ptrs_.size()) return false;
+  if (L.flows_completed != L.flow_ptrs.size()) return false;
   // Every egress queue empty and every fast-path train settled; no pacing
   // wake armed anywhere (see HostNode::pending_wake_count).
   const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
@@ -718,36 +605,37 @@ bool Experiment::QuiescentForWarmCheckpoint(size_t external_pending) {
   for (uint32_t h : hosts_) {
     if (topology_->host(h).pending_wake_count() != 0) return false;
   }
-  if (pfc_monitor_.has_open_pauses()) return false;
+  if (L.pfc->has_open_pauses()) return false;
   // Every pending event must be accounted for: the caller's external events
   // (link script, scenario-installed generators), this experiment's own
   // generators, and the queue-monitor tick. Anything else — an RTO, a CC
   // timer — means live protocol state we cannot capture.
   size_t expected = external_pending;
-  for (const auto& src : sources_) {
+  for (const auto& src : L.sources) {
     if (src->warm_pending()) ++expected;
   }
-  if (queue_monitor_ != nullptr && queue_monitor_->tick_pending()) ++expected;
-  return simulator_->pending_events() == expected;
+  if (L.queue_monitor->tick_pending()) ++expected;
+  return L.sim->pending_events() == expected;
 }
 
 std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() {
+  const Lane& L = *lanes_[0];
   auto w = std::make_unique<WarmState>();
-  const sim::TimePs now = simulator_->now();
+  const sim::TimePs now = L.sim->now();
   w->now = now;
-  w->next_schedule_seq = simulator_->next_schedule_seq();
-  w->events_executed = simulator_->events_executed();
-  w->next_flow_id = next_flow_id_;
-  w->flows.reserve(flow_ptrs_.size());
-  for (const host::Flow* f : flow_ptrs_) {
+  w->next_schedule_seq = L.sim->next_schedule_seq();
+  w->events_executed = L.sim->events_executed();
+  w->next_flow_id = L.next_flow_id;
+  w->flows.reserve(L.flow_ptrs.size());
+  for (const host::Flow* f : L.flow_ptrs) {
     const host::FlowSpec& s = f->spec();
     w->flows.push_back({s.id, s.src, s.dst, s.size_bytes, s.start_time,
                         f->finish_time, f->done});
   }
-  w->fct = std::make_unique<stats::FctRecorder>(*fct_);
-  w->short_fct_us = short_fct_us_;
-  w->queue = queue_monitor_->CaptureWarm();
-  w->pfc = pfc_monitor_.CaptureWarm();
+  w->fct = std::make_unique<stats::FctRecorder>(*L.fct);
+  w->short_fct_us = L.short_fct_us;
+  w->queue = L.queue_monitor->CaptureWarm();
+  w->pfc = L.pfc->CaptureWarm();
   for (uint32_t s : topology_->switches()) {
     w->switches.push_back(topology_->switch_node(s).CaptureWarm());
   }
@@ -761,29 +649,24 @@ std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() {
   for (uint32_t h : hosts_) {
     w->hosts.push_back(topology_->host(h).CaptureWarm());
   }
-  w->sources.resize(sources_.size());
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    if (sources_[i]->first_activity() < now) {
-      w->sources[i] = sources_[i]->CaptureWarm();
+  w->sources.resize(L.sources.size());
+  for (size_t i = 0; i < L.sources.size(); ++i) {
+    if (L.sources[i]->first_activity() < now) {
+      w->sources[i] = L.sources[i]->CaptureWarm();
     }
   }
   return w;
 }
 
 bool Experiment::ValidateWarmState(const WarmState& w) {
-  if (config_.shards > 1) return false;
+  if (shards() > 1) return false;
   if (!queue_monitor_started_) return false;
   if (w.fct == nullptr) return false;
-  if (sources_.size() != w.sources.size()) return false;
+  if (lanes_[0]->sources.size() != w.sources.size()) return false;
   if (topology_->switches().size() != w.switches.size()) return false;
   if (hosts_.size() != w.hosts.size()) return false;
-  const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
-  size_t num_ports = 0;
-  for (uint32_t id = 0; id < num_nodes; ++id) {
-    num_ports += static_cast<size_t>(topology_->node(id).num_ports());
-  }
-  if (num_ports != w.ports.size()) return false;
-  if (w.now < simulator_->now()) return false;
+  if (static_cast<size_t>(total_ports_) != w.ports.size()) return false;
+  if (w.now < simulator().now()) return false;
   return true;
 }
 
@@ -791,13 +674,14 @@ bool Experiment::RestoreWarmState(const WarmState& w) {
   // Validate the structural match completely before touching anything, so a
   // mismatch leaves this experiment cold-runnable.
   if (!ValidateWarmState(w)) return false;
+  Lane& L = *lanes_[0];
   const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
 
   for (size_t i = 0; i < w.sources.size(); ++i) {
-    if (w.sources[i].has_value()) sources_[i]->RestoreWarm(*w.sources[i]);
+    if (w.sources[i].has_value()) L.sources[i]->RestoreWarm(*w.sources[i]);
   }
-  queue_monitor_->RestoreWarm(w.queue);
-  pfc_monitor_.RestoreWarm(w.pfc);
+  L.queue_monitor->RestoreWarm(w.queue);
+  L.pfc->RestoreWarm(w.pfc);
   for (size_t i = 0; i < w.switches.size(); ++i) {
     topology_->switch_node(topology_->switches()[i]).RestoreWarm(
         w.switches[i]);
@@ -812,23 +696,23 @@ bool Experiment::RestoreWarmState(const WarmState& w) {
   for (size_t i = 0; i < hosts_.size(); ++i) {
     topology_->host(hosts_[i]).RestoreWarm(w.hosts[i]);
   }
-  fct_ = std::make_unique<stats::FctRecorder>(*w.fct);
-  short_fct_us_ = w.short_fct_us;
+  L.fct = std::make_unique<stats::FctRecorder>(*w.fct);
+  L.short_fct_us = w.short_fct_us;
   warm_flows_ = w.flows;
-  next_flow_id_ = w.next_flow_id;
+  L.next_flow_id = w.next_flow_id;
   // Last: jump the clock and counters to T. Every event replayed above was
   // scheduled while now_ was still pre-T, so their captured (time, seq) keys
   // landed unchallenged; from here on the engine continues exactly as the
   // checkpointing run would have.
-  simulator_->Restore(w.now, w.next_schedule_seq, w.events_executed);
+  L.sim->Restore(w.now, w.next_schedule_seq, w.events_executed);
   return true;
 }
 
-ExperimentResult Experiment::CollectSharded() {
+ExperimentResult Experiment::Collect() {
   ExperimentResult r;
   // Every lane clock agrees at the final barrier (budget exhaustion is the
   // diagnostic exception); lane 0 is the canonical one.
-  const sim::TimePs now = simulator_->now();
+  const sim::TimePs now = simulator().now();
   r.fct = MakeFctRecorder();
   stats::PfcMonitor pfc;
   for (const auto& lp : lanes_) {
@@ -874,65 +758,12 @@ ExperimentResult Experiment::CollectSharded() {
     r.dropped_by_reason[static_cast<int>(check::DropReason::kCorrupt)] +=
         node.corrupt_dropped_packets();
   }
-  r.sim_time = now;
-  r.base_rtt = base_rtt_;
-
-  stats::TraceHash th;
-  for (const auto& lp : lanes_) {
-    for (const host::Flow* f : lp->flow_ptrs) {
-      const host::FlowSpec& s = f->spec();
-      th.AddFlow(s.id, s.src, s.dst, s.size_bytes, s.start_time,
-                 f->finish_time, f->done);
-    }
-  }
-  r.trace_hash = th.digest();
-  SortResultDistributions(r);
-  return r;
-}
-
-ExperimentResult Experiment::Collect() {
-  if (config_.shards > 1) return CollectSharded();
-  ExperimentResult r;
-  const sim::TimePs now = simulator_->now();
-  pfc_monitor_.Finish(now);
-
-  r.fct = std::move(fct_);
-  r.queue_dist = queue_monitor_->distribution();
-  r.max_queue_bytes = queue_monitor_->max_seen_bytes();
-  r.pause_time_fraction = pfc_monitor_.PauseTimeFraction(now, total_ports_);
-  r.pause_events = pfc_monitor_.pause_count();
-  r.pause_durations_us = pfc_monitor_.DurationDistributionUs();
-  r.short_fct_us = short_fct_us_;
-  for (uint32_t s : topology_->switches()) {
-    const net::SwitchNode& sw = topology_->switch_node(s);
-    r.dropped_packets += sw.dropped_packets();
-    r.dropped_bytes += sw.dropped_bytes();
-    for (int d = 0; d < check::kNumDropReasons; ++d) {
-      r.dropped_by_reason[d] +=
-          sw.dropped_by_reason(static_cast<check::DropReason>(d));
-    }
-    r.packets_forwarded += sw.forwarded_packets();
-  }
-  const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
-  for (uint32_t id = 0; id < num_nodes; ++id) {
-    const net::Node& node = topology_->node(id);
-    for (int p = 0; p < node.num_ports(); ++p) {
-      r.train_aborts += node.port(p).train_aborts();
-    }
-    r.dropped_packets += node.corrupt_dropped_packets();
-    r.dropped_bytes += node.corrupt_dropped_bytes();
-    r.dropped_by_reason[static_cast<int>(check::DropReason::kCorrupt)] +=
-        node.corrupt_dropped_packets();
-  }
   // Warm-restored runs fold the checkpoint's completed flows back in, so the
   // report covers [0, end) exactly like a cold run's.
-  uint64_t warm_done = 0;
   for (const WarmFlowRecord& wf : warm_flows_) {
-    if (wf.done) ++warm_done;
+    if (wf.done) ++r.flows_completed;
   }
-  r.flows_created = flow_ptrs_.size() + warm_flows_.size();
-  r.flows_completed = flows_completed_ + warm_done;
-  r.flows_failed = flows_failed_;
+  r.flows_created += warm_flows_.size();
   if (fluid_ != nullptr) {
     // Fluid flows fold into the engine-inclusive totals AND get their own
     // accounting block (manifest "fluid" subtree).
@@ -945,11 +776,7 @@ ExperimentResult Experiment::Collect() {
     r.flows_created += r.fluid_flows_created;
     r.flows_completed += r.fluid_flows_completed;
   }
-  for (const host::Flow* f : flow_ptrs_) {
-    r.retx_timeouts += f->retx_timeouts;
-  }
   r.sim_time = now;
-  r.events_executed = simulator_->events_executed();
   r.base_rtt = base_rtt_;
 
   stats::TraceHash th;
@@ -957,10 +784,12 @@ ExperimentResult Experiment::Collect() {
     th.AddFlow(wf.id, wf.src, wf.dst, wf.size_bytes, wf.start, wf.finish,
                wf.done);
   }
-  for (const host::Flow* f : flow_ptrs_) {
-    const host::FlowSpec& s = f->spec();
-    th.AddFlow(s.id, s.src, s.dst, s.size_bytes, s.start_time, f->finish_time,
-               f->done);
+  for (const auto& lp : lanes_) {
+    for (const host::Flow* f : lp->flow_ptrs) {
+      const host::FlowSpec& s = f->spec();
+      th.AddFlow(s.id, s.src, s.dst, s.size_bytes, s.start_time,
+                 f->finish_time, f->done);
+    }
   }
   if (fluid_ != nullptr) {
     for (const auto& rec : fluid_->flows()) {
@@ -969,12 +798,6 @@ ExperimentResult Experiment::Collect() {
     }
   }
   r.trace_hash = th.digest();
-
-  // The recorder moved out; re-create an empty one in case Collect is called
-  // again (idempotence for tests).
-  fct_ = std::make_unique<stats::FctRecorder>(
-      config_.trace == "fbhadoop" ? stats::FctRecorder::FbHadoopBins()
-                                  : stats::FctRecorder::WebSearchBins());
   SortResultDistributions(r);
   return r;
 }

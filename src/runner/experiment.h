@@ -154,50 +154,47 @@ class Experiment {
   explicit Experiment(const ExperimentConfig& config);
   ~Experiment();
 
-  // Manual flow injection (micro-benchmarks); returns the live Flow. On a
-  // sharded experiment this replicates the flow-id draw across every lane
-  // (legal before Run only).
+  // Manual flow injection (micro-benchmarks); returns the live Flow. Every
+  // lane draws the flow id (one draw per lane keeps the counters aligned);
+  // the lane owning `src` creates the flow. Call between runs only.
   host::Flow* AddFlow(uint32_t src, uint32_t dst, uint64_t bytes,
                       sim::TimePs start);
-  // Lane-replicated flow injection: ALWAYS consumes lane `lane`'s next flow
-  // id (so ids match shards=1 creation order), but creates a live flow only
-  // when the lane owns `src` — returns nullptr otherwise. Every lane's
-  // replicated generator calls this with identical arguments in identical
-  // order. Equal to AddFlow when shards == 1.
-  host::Flow* AddFlowOnLane(int lane, uint32_t src, uint32_t dst,
-                            uint64_t bytes, sim::TimePs start);
-  // The engine-dispatch seam every TrafficSource sink funnels through:
-  // packet-class flows go to AddFlowOnLane (lane-replicated id draw), fluid
-  // ones to the FluidRegion (hybrid runs are single-lane, so the id draw is
-  // the plain counter). Both consume the same flow-id space, so packet and
-  // fluid flows interleave in one creation order.
+  // The engine-dispatch seam every TrafficSource sink funnels through. Each
+  // lane's replicated source calls it with its own `lane` and identical
+  // arguments in identical order: packet-class flows consume that lane's
+  // next flow id and are created only by the lane owning `src`; fluid ones
+  // go to the FluidRegion (hybrid runs are single-lane). Both consume the
+  // same flow-id space, so packet and fluid flows interleave in one
+  // creation order.
   void AddWorkloadFlow(workload::FlowClass flow_class, int lane, uint32_t src,
                        uint32_t dst, uint64_t bytes, sim::TimePs start);
   // RDMA READ (§4.2): `requester` pulls `bytes` from `responder`. The data
   // flow runs responder -> requester; its FCT starts at the request post
-  // time, so it includes the request's propagation. Single-sim only.
+  // time, so it includes the request's propagation. Single-lane only.
   host::Flow* AddReadFlow(uint32_t requester, uint32_t responder,
                           uint64_t bytes, sim::TimePs start);
 
-  // Schedules a link_down/link_up script event. Single-sim: one ScheduleAt
-  // driving Topology::SetLinkUp. Sharded: installs a no-op barrier marker in
-  // every lane (consuming exactly one tie-break seq, like the single-sim
-  // event) and records the event for the coordinator, which applies it
-  // between rounds while all lanes are blocked.
+  // Schedules a link_down/link_up script event (`at` >= now). Installs a
+  // no-op mark in every lane, consuming exactly one tie-break seq there, and
+  // records the event; the round loop runs each lane up to (excluding) its
+  // mark and applies the event while every lane is parked, so it lands in
+  // the same relative order as a plain scheduled event would.
   void InstallLinkEvent(sim::TimePs at, size_t link, bool up);
 
-  // Runs generators + simulation, drains, and collects metrics.
+  // Runs generators + simulation, drains, and collects metrics:
+  // StartWorkload + FinishRun.
   ExperimentResult Run();
-  // The two halves of a single-lane Run, split so the warm-start runner can
-  // pause between them: StartWorkload starts the generators and the queue
-  // monitor (drawing the same schedule seqs a plain Run would); FinishRun
-  // executes to the workload horizon, drains, and collects. Run ==
-  // StartWorkload + FinishRun when shards == 1.
+  // The two halves of Run, split so the warm-start runner can pause between
+  // them: StartWorkload starts the generators and the queue monitors;
+  // FinishRun executes to the workload horizon, drains, and collects.
   void StartWorkload();
   ExperimentResult FinishRun();
-  // Lower-level: run the simulator to `until` without draining (micro
-  // benches drive this directly after AddFlow).
+  // Lower-level: run every lane to `until` without draining, applying the
+  // link events due by then (micro benches drive this directly after
+  // AddFlow).
   void RunUntil(sim::TimePs until);
+  // Merges every lane's stats (plus warm-restored and fluid flows) into one
+  // result. Non-destructive: calling it again gives the same result.
   ExperimentResult Collect();
 
   // --- Warm checkpoint/restore (warm-start sweeps) -----------------------
@@ -212,6 +209,8 @@ class Experiment {
   // byte-identical to one that simulated [0, T) itself. Anything pending
   // that this accounting can't explain (a CC timer, an RTO) makes the
   // instant non-quiescent and the caller falls back to a cold run.
+  // Single-lane only: a multi-lane experiment is never quiescent and never
+  // validates a checkpoint.
 
   // One completed pre-checkpoint flow, carried for TraceHash / flow-count
   // folding (the live Flow objects stay with the checkpointing experiment).
@@ -261,30 +260,32 @@ class Experiment {
   // replaced by the checkpoint's captured (time, seq) events.
   bool RestoreWarmState(const WarmState& w);
 
-  sim::Simulator& simulator() { return *simulator_; }
+  // Lane 0's simulator: the canonical clock, and the only one when
+  // shards == 1.
+  sim::Simulator& simulator() { return *lanes_[0]->sim; }
   topo::Topology& topology() { return *topology_; }
   const ExperimentConfig& config() const { return config_; }
   const std::vector<uint32_t>& hosts() const { return hosts_; }
   sim::TimePs base_rtt() const { return base_rtt_; }
-  const std::vector<host::Flow*>& flows() const { return flow_ptrs_; }
-  uint64_t flows_completed() const { return flows_completed_; }
+  // Lane 0's flows in creation order (every flow when shards == 1).
+  const std::vector<host::Flow*>& flows() const {
+    return lanes_[0]->flow_ptrs;
+  }
+  uint64_t flows_completed() const;
   // The hybrid fluid engine (null unless config.hybrid.enabled).
   analytic::FluidRegion* fluid_region() { return fluid_.get(); }
   // Every live flow across all lanes (lane order, creation order within a
-  // lane; equals flows() when shards == 1). For post-run checkers like the
-  // no-progress monitor.
+  // lane). For post-run checkers like the no-progress monitor.
   std::vector<const host::Flow*> AllFlows() const;
-  stats::PfcMonitor& pfc_monitor() { return pfc_monitor_; }
+  // Lane 0's pause log (every port's when shards == 1).
+  stats::PfcMonitor& pfc_monitor() { return *lanes_[0]->pfc; }
 
-  // Sharded-run surface. With shards == 1 there is exactly one lane (0),
-  // backed by simulator() and owning every node.
-  int shards() const { return config_.shards; }
-  sim::Simulator& lane_simulator(int lane) {
-    return lanes_.empty() ? *simulator_ : *lanes_[lane]->sim;
-  }
+  // Execution lanes: shards() >= 1 of them, lane 0 backed by simulator().
+  int shards() const { return static_cast<int>(lanes_.size()); }
+  sim::Simulator& lane_simulator(int lane) { return *lanes_[lane]->sim; }
   // Node ids owned by `lane`, ascending.
   const std::vector<uint32_t>& lane_nodes(int lane) const {
-    return lane_node_ids_[lane];
+    return lanes_[lane]->nodes;
   }
   const topo::Partition& partition() const { return partition_; }
   // Event-storm watchdog, fanned out to every lane simulator.
@@ -297,13 +298,13 @@ class Experiment {
   bool deadline_exceeded() const;
 
  private:
-  // One logical process of a sharded run: an event arena plus shard-local
+  // One logical process: an event arena, the nodes it owns, and lane-local
   // replicas of every piece of per-run mutable state (stats, monitors,
   // generators, flow-id counter). Heap-allocated because monitors hand out
   // self-referential observers.
   struct Lane {
-    sim::Simulator* sim = nullptr;  // lane 0 aliases Experiment::simulator_
-    std::unique_ptr<sim::Simulator> owned_sim;  // lanes > 0
+    std::unique_ptr<sim::Simulator> sim;
+    std::vector<uint32_t> nodes;  // owned node ids, ascending
     // One inbound channel per incoming direction of a cut link.
     struct Inbound {
       std::unique_ptr<net::HandoffChannel> channel;
@@ -312,7 +313,7 @@ class Experiment {
       uint32_t key = 0;  // producer link uid: (from_node << 8) | from_port
     };
     std::vector<Inbound> inbound;
-    // Barrier markers, one per installed link-script event (install order).
+    // Barrier marks, one per installed link-script event (install order).
     struct Mark {
       sim::TimePs at = 0;
       uint64_t seq = 0;
@@ -322,15 +323,14 @@ class Experiment {
     stats::PercentileTracker short_fct_us;
     std::unique_ptr<stats::QueueMonitor> queue_monitor;
     std::unique_ptr<stats::PfcMonitor> pfc;
-    // Lane-replicated workload sources, same install order as the
-    // single-sim sources_ (Poisson, trace replay, incast).
+    // Lane-replicated workload sources (Poisson, trace replay, incast).
     std::vector<std::unique_ptr<workload::TrafficSource>> sources;
     uint64_t next_flow_id = 1;
     std::vector<host::Flow*> flow_ptrs;  // lane-owned flows, creation order
     uint64_t flows_completed = 0;
     uint64_t flows_failed = 0;
   };
-  // One recorded link-script event (coordinator-applied at barriers).
+  // One recorded link-script event (applied between rounds).
   struct ScriptEvent {
     sim::TimePs at = 0;
     size_t link = 0;
@@ -338,18 +338,28 @@ class Experiment {
   };
 
   void BuildTopology();
-  void InstallMonitors();
-  void SetupShards();
+  // Partitions the fabric over the lanes and wires each lane's channels,
+  // stats, flow-completion callbacks and sources.
+  void SetupLanes();
   // Builds the configured TrafficSources (install order: Poisson, trace
-  // replay, incast) emitting into lane `lane` of `sim` — the one definition
-  // the single-sim constructor and every replicated shard lane share.
-  void MakeSources(sim::Simulator* sim, int lane,
-                   std::vector<std::unique_ptr<workload::TrafficSource>>* out);
-  // Admits a fluid-class flow (consumes the next flow id).
+  // replay, incast) emitting into lane `lane`.
+  void MakeSources(int lane);
+  // Replicated flow injection: ALWAYS consumes lane `lane`'s next flow id,
+  // but creates a live flow only when the lane owns `src` — returns nullptr
+  // otherwise.
+  host::Flow* AddFlowOnLane(int lane, uint32_t src, uint32_t dst,
+                            uint64_t bytes, sim::TimePs start);
+  // Admits a fluid-class flow (consumes lane 0's next flow id).
   void AddFluidFlow(uint32_t src, uint32_t dst, uint64_t bytes,
                     sim::TimePs start);
-  ExperimentResult RunSharded();
-  ExperimentResult CollectSharded();
+  void StartQueueMonitors();
+  // True once every flow has completed or failed and no fluid flow is live.
+  bool Settled() const;
+  // The round loop: runs every lane to `until` in conservative rounds
+  // bounded by the cut-link lookahead and the next link-script mark,
+  // applying each mark's event between rounds. Lanes > 0 run on worker
+  // threads; lane 0 runs on the caller's.
+  void RunLanes(sim::TimePs until);
   // Reschedules every pending inbound record with arrival <= horizon onto
   // the lane's own simulator, under the producer's arrival tie-break key.
   void DrainInbound(Lane& lane, sim::TimePs horizon);
@@ -358,35 +368,26 @@ class Experiment {
   static void SortResultDistributions(ExperimentResult& r);
 
   ExperimentConfig config_;
-  std::unique_ptr<sim::Simulator> simulator_;
+  std::vector<std::unique_ptr<Lane>> lanes_;  // config.shards of them
   std::unique_ptr<topo::Topology> topology_;
   std::vector<uint32_t> hosts_;
   sim::TimePs base_rtt_ = 0;
 
-  uint64_t next_flow_id_ = 1;
-  std::vector<host::Flow*> flow_ptrs_;
-  uint64_t flows_completed_ = 0;
-  uint64_t flows_failed_ = 0;
   // Pre-checkpoint flows adopted by RestoreWarmState; Collect folds them
   // into flows_created/completed and the trace hash. Empty on cold runs.
   std::vector<WarmFlowRecord> warm_flows_;
-
-  std::unique_ptr<stats::FctRecorder> fct_;
-  stats::PercentileTracker short_fct_us_;
-  std::unique_ptr<stats::QueueMonitor> queue_monitor_;
   bool queue_monitor_started_ = false;
-  stats::PfcMonitor pfc_monitor_;
-  // Workload sources, install order (Poisson, trace replay, incast).
-  std::vector<std::unique_ptr<workload::TrafficSource>> sources_;
   // Parsed once, shared across replicated lane sources.
   std::shared_ptr<const std::vector<workload::TraceRecord>> trace_records_;
   std::unique_ptr<analytic::FluidRegion> fluid_;
   int total_ports_ = 0;
 
   topo::Partition partition_;
-  std::vector<std::unique_ptr<Lane>> lanes_;          // empty when shards == 1
-  std::vector<std::vector<uint32_t>> lane_node_ids_;  // sized shards
-  std::vector<ScriptEvent> script_;                   // install order
+  std::vector<ScriptEvent> script_;  // install order
+  // Install indices of script_ by (time, install order); entries before
+  // script_next_ have been applied.
+  std::vector<size_t> script_order_;
+  size_t script_next_ = 0;
 };
 
 }  // namespace hpcc::runner

@@ -476,10 +476,12 @@ std::vector<SweepRunResult> ScenarioRunner::RunAll(
   }
   // One cache pair per sweep execution: grid points with equal topology
   // (resp. warm-fingerprint) keys build the fabric (resp. warm checkpoint)
-  // once and share it. --warm=off drops both, forcing every point cold.
+  // once and share it. A one-point sweep has nobody to share with, so it
+  // skips both (exporting a snapshot copies every routing table).
+  // --warm=off drops both, forcing every point cold.
   std::shared_ptr<FabricCache> fabric_cache;
   std::shared_ptr<WarmCache> warm_cache;
-  if (options_.warm) {
+  if (options_.warm && runs.size() >= 2) {
     fabric_cache = std::make_shared<FabricCache>();
     warm_cache = std::make_shared<WarmCache>();
   }

@@ -947,11 +947,11 @@ runner::ExperimentConfig MakeExperimentConfig(const Scenario& s) {
 InstalledEvents InstallEvents(runner::Experiment& e, const Scenario& s) {
   InstalledEvents out;
   topo::Topology& topology = e.topology();
-  // Sharded runs replicate every generator in every lane (same seeds, all
-  // hosts, the lane's own event arena); AddFlowOnLane keeps only the flows a
-  // lane owns while consuming its flow-id counter for the rest, so ids and
-  // draws match the shards=1 run exactly. The inner per-lane loops preserve
-  // the single-sim install order within each lane.
+  // Every generator is replicated in every lane (same seeds, all hosts, the
+  // lane's own event arena); AddWorkloadFlow keeps only the flows a lane
+  // owns while consuming its flow-id counter for the rest, so ids and draws
+  // are the same at every lane count. The inner per-lane loops keep one
+  // install order within each lane.
   const int shards = e.shards();
   const size_t num_links = topology.links().size();
   const size_t num_hosts = e.hosts().size();

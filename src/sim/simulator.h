@@ -171,9 +171,9 @@ class Simulator {
   //
   // `until_seq` refines the horizon for events at exactly `until`: only
   // events with tie-break seq < until_seq execute there (default: all of
-  // them). Sharded runs use this to stop each lane exactly *before* a
-  // same-timestamp link-script marker so the script can apply at a barrier
-  // in the same relative order the single-sim run would have used.
+  // them). The lane round loop uses this to stop each lane exactly *before*
+  // a same-timestamp link-script mark, so the script applies at a barrier in
+  // the same relative order a plain scheduled event would have run.
   uint64_t Run(TimePs until = std::numeric_limits<TimePs>::max(),
                uint64_t until_seq = std::numeric_limits<uint64_t>::max());
   // Stops the run loop after the current event returns.

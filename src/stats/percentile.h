@@ -22,7 +22,7 @@ class PercentileTracker {
 
   // Folds another tracker's samples in. Percentiles sort before answering,
   // so the merged result is independent of merge order — shard-merged
-  // statistics equal the single-sim ones exactly.
+  // statistics equal the one-lane ones exactly.
   void Merge(const PercentileTracker& other) {
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());

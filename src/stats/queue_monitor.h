@@ -34,7 +34,7 @@ class QueueMonitor {
     use_subset_ = true;
   }
   // Folds a shard-local monitor in: the per-tick sample multiset over all
-  // shards equals the single-sim one, and percentiles sort on demand.
+  // shards equals the one-lane one, and percentiles sort on demand.
   void Merge(const QueueMonitor& other) {
     dist_.Merge(other.dist_);
     max_seen_ = max_seen_ > other.max_seen_ ? max_seen_ : other.max_seen_;
