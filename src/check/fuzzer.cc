@@ -249,7 +249,7 @@ FuzzRunReport RunScenarioDocChecked(const Json& doc, uint64_t max_events,
       InstallStandardMonitors(registries.back(), e, mo, lane);
       if (extra) extra(registries.back(), e);
     }
-    const scenario::InstalledEvents events = scenario::InstallEvents(e, s);
+    scenario::InstallEvents(e, s);
     const runner::ExperimentResult result = e.Run();
     for (int lane = 0; lane < lanes; ++lane) {
       registries[static_cast<size_t>(lane)].Finish(

@@ -192,6 +192,9 @@ scenario::Json BuildManifest(const ManifestInputs& in) {
     sweep.Set("count", NumU(in.sweep_count));
     sweep.Set("attempt", Num(in.attempt));
     sweep.Set("status", Str(in.status));
+    if (in.trace_file_digest) {
+      sweep.Set("trace_file_digest", Str(HashHex(*in.trace_file_digest)));
+    }
     scenario::Json cells = scenario::Json::MakeObject();
     for (const auto& [name, value] : *in.csv_cells) cells.Set(name, Str(value));
     sweep.Set("cells", cells);

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,6 +53,9 @@ struct ManifestInputs {
   int attempt = 0;
   std::string status;
   const std::vector<std::pair<std::string, std::string>>* csv_cells = nullptr;
+  // FNV-1a digest of the scenario's trace_file bytes (journaled when set):
+  // the scenario echo names the file, not its content.
+  std::optional<uint64_t> trace_file_digest;
 };
 
 // Canonical JSON form of a TelemetryConfig (every key, resolved values) —

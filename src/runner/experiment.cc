@@ -149,31 +149,11 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
 void Experiment::MakeSources(int lane) {
   // Install order is a determinism contract: Poisson, trace replay, incast.
   // Warm checkpoints, lane replicas and StartWorkload all rely on it.
-  sim::Simulator* sim = lanes_[lane]->sim.get();
-  std::vector<std::unique_ptr<workload::TrafficSource>>* out =
-      &lanes_[lane]->sources;
+  std::vector<std::unique_ptr<workload::TrafficSource>>& out =
+      lanes_[lane]->sources;
   if (config_.load > 0) {
-    workload::FlowSink sink = [this, lane](uint32_t src, uint32_t dst,
-                                           uint64_t size, sim::TimePs start) {
-      AddWorkloadFlow(config_.flow_class, lane, src, dst, size, start);
-    };
-    workload::PoissonOptions po;
-    po.load = config_.load;
-    // Per-host capacity counts all NIC ports (testbed hosts are dual-homed).
-    const host::HostNode& h0 = topology_->host(hosts_.front());
-    po.host_bps = 0;
-    for (int p = 0; p < h0.num_ports(); ++p) {
-      po.host_bps += h0.port(p).bandwidth_bps();
-    }
-    po.start = 0;
-    po.end = config_.duration;
-    po.max_flows = config_.max_flows;
-    po.seed = config_.seed;
-    out->push_back(std::make_unique<workload::PoissonGenerator>(
-        sim, hosts_,
-        config_.trace == "fbhadoop" ? workload::SizeCdf::FbHadoop()
-                                    : workload::SizeCdf::WebSearch(),
-        po, sink));
+    out.push_back(
+        MakeBackground(lane, config_.load, 0, config_.duration, config_.seed));
   }
   if (trace_records_ != nullptr) {
     // Trace src/dst are indices into hosts() (stable across topologies);
@@ -186,22 +166,67 @@ void Experiment::MakeSources(int lane) {
       AddWorkloadFlow(config_.flow_class, lane, hosts_[src], hosts_[dst], size,
                       start);
     };
-    out->push_back(std::make_unique<workload::TraceReplaySource>(
-        sim, trace_records_, sink));
+    out.push_back(std::make_unique<workload::TraceReplaySource>(
+        lanes_[lane]->sim.get(), trace_records_, sink));
   }
   if (config_.incast) {
-    const workload::FlowClass fc = config_.incast_opts.flow_class;
-    workload::FlowSink sink = [this, lane, fc](uint32_t src, uint32_t dst,
-                                               uint64_t size,
-                                               sim::TimePs start) {
-      AddWorkloadFlow(fc, lane, src, dst, size, start);
-    };
     workload::IncastOptions io = config_.incast_opts;
     io.end = io.end == 0 ? config_.duration : io.end;
     io.seed = core::DeriveSeed(config_.seed, 7);
-    out->push_back(
-        std::make_unique<workload::IncastGenerator>(sim, hosts_, io, sink));
+    out.push_back(MakeIncast(lane, io));
   }
+  config_sources_ = out.size();
+}
+
+std::unique_ptr<workload::PoissonGenerator> Experiment::MakeBackground(
+    int lane, double load, sim::TimePs start, sim::TimePs end,
+    uint64_t seed) {
+  workload::PoissonOptions po;
+  po.load = load;
+  // Per-host capacity counts all NIC ports (testbed hosts are dual-homed).
+  const host::HostNode& h0 = topology_->host(hosts_.front());
+  po.host_bps = 0;
+  for (int p = 0; p < h0.num_ports(); ++p) {
+    po.host_bps += h0.port(p).bandwidth_bps();
+  }
+  po.start = start;
+  po.end = std::min(end, config_.duration);
+  // Per-generator bound; the sink enforces the cap across generators.
+  // Every lane replays the same draws, so the lane counters advance in
+  // lockstep and the cap cuts at the same flow in every lane.
+  po.max_flows = config_.max_flows;
+  po.seed = seed;
+  Lane* L = lanes_[lane].get();
+  workload::FlowSink sink = [this, lane, L](uint32_t src, uint32_t dst,
+                                            uint64_t size, sim::TimePs at) {
+    if (config_.max_flows > 0 && L->background_flows >= config_.max_flows) {
+      return;
+    }
+    ++L->background_flows;
+    AddWorkloadFlow(config_.flow_class, lane, src, dst, size, at);
+  };
+  return std::make_unique<workload::PoissonGenerator>(
+      L->sim.get(), hosts_,
+      config_.trace == "fbhadoop" ? workload::SizeCdf::FbHadoop()
+                                  : workload::SizeCdf::WebSearch(),
+      po, std::move(sink));
+}
+
+std::unique_ptr<workload::IncastGenerator> Experiment::MakeIncast(
+    int lane, const workload::IncastOptions& options) {
+  const workload::FlowClass fc = options.flow_class;
+  workload::FlowSink sink = [this, lane, fc](uint32_t src, uint32_t dst,
+                                             uint64_t size, sim::TimePs at) {
+    AddWorkloadFlow(fc, lane, src, dst, size, at);
+  };
+  return std::make_unique<workload::IncastGenerator>(
+      lanes_[lane]->sim.get(), hosts_, options, std::move(sink));
+}
+
+void Experiment::AddSource(int lane,
+                           std::unique_ptr<workload::TrafficSource> source) {
+  source->Start();
+  lanes_[lane]->sources.push_back(std::move(source));
 }
 
 Experiment::~Experiment() = default;
@@ -551,10 +576,11 @@ ExperimentResult Experiment::Run() {
 }
 
 void Experiment::StartWorkload() {
-  // Each lane starts its sources in install order on its own arena, so
-  // every lane's seq counter replays the same schedule sequence.
+  // Each lane starts its configured sources in install order on its own
+  // arena, so every lane's seq counter replays the same schedule sequence.
+  // (Installed sources started in AddSource.)
   for (auto& lp : lanes_) {
-    for (auto& src : lp->sources) src->Start();
+    for (size_t i = 0; i < config_sources_; ++i) lp->sources[i]->Start();
   }
   StartQueueMonitors();
 }
@@ -584,7 +610,7 @@ ExperimentResult Experiment::FinishRun() {
   return Collect();
 }
 
-bool Experiment::QuiescentForWarmCheckpoint(size_t external_pending) {
+bool Experiment::QuiescentForWarmCheckpoint() {
   if (shards() > 1) return false;
   // Hybrid runs are always cold: the fluid engine's continuous link/window
   // state has no warm capture surface.
@@ -606,11 +632,12 @@ bool Experiment::QuiescentForWarmCheckpoint(size_t external_pending) {
     if (topology_->host(h).pending_wake_count() != 0) return false;
   }
   if (L.pfc->has_open_pauses()) return false;
-  // Every pending event must be accounted for: the caller's external events
-  // (link script, scenario-installed generators), this experiment's own
-  // generators, and the queue-monitor tick. Anything else — an RTO, a CC
-  // timer — means live protocol state we cannot capture.
-  size_t expected = external_pending;
+  // Every pending event must be accounted for: the marks of link-script
+  // events not yet applied, the sources' self-schedules, and the
+  // queue-monitor tick. Anything else — an RTO, a CC timer — means live
+  // protocol state we cannot capture. (A mark that ran without its event
+  // being applied only inflates the count, which reads as non-quiescent.)
+  size_t expected = script_order_.size() - script_next_;
   for (const auto& src : L.sources) {
     if (src->warm_pending()) ++expected;
   }
@@ -655,6 +682,7 @@ std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() {
       w->sources[i] = L.sources[i]->CaptureWarm();
     }
   }
+  w->background_flows = L.background_flows;
   return w;
 }
 
@@ -700,6 +728,7 @@ bool Experiment::RestoreWarmState(const WarmState& w) {
   L.short_fct_us = w.short_fct_us;
   warm_flows_ = w.flows;
   L.next_flow_id = w.next_flow_id;
+  L.background_flows = w.background_flows;
   // Last: jump the clock and counters to T. Every event replayed above was
   // scheduled while now_ was still pre-T, so their captured (time, seq) keys
   // landed unchallenged; from here on the engine continues exactly as the

@@ -174,6 +174,29 @@ class Experiment {
   host::Flow* AddReadFlow(uint32_t requester, uint32_t responder,
                           uint64_t bytes, sim::TimePs start);
 
+  // --- Traffic sources ------------------------------------------------------
+  // The experiment owns every TrafficSource: the configured ones (enrolled
+  // at construction, started by StartWorkload) and the ones an event script
+  // installs, so warm capture/restore, its structural check and quiescence
+  // accounting each cover every generator.
+  //
+  // Starts `source` on lane `lane` now and enrolls it. Start order is
+  // schedule-seq order: give every lane one replica of each source, in the
+  // same order. Call between runs only.
+  void AddSource(int lane, std::unique_ptr<workload::TrafficSource> source);
+  // The one Poisson-background builder: `load` of the per-host NIC capacity
+  // over [start, end), flow sizes from config.trace, the config's flow class,
+  // and config.max_flows as a cap on the whole background workload — every
+  // background generator of a lane shares that lane's cap counter, whichever
+  // phase it serves. Returned unstarted, emitting into lane `lane`.
+  std::unique_ptr<workload::PoissonGenerator> MakeBackground(
+      int lane, double load, sim::TimePs start, sim::TimePs end,
+      uint64_t seed);
+  // An incast generator emitting into lane `lane` (flows ride
+  // `options.flow_class`). Returned unstarted.
+  std::unique_ptr<workload::IncastGenerator> MakeIncast(
+      int lane, const workload::IncastOptions& options);
+
   // Schedules a link_down/link_up script event (`at` >= now). Installs a
   // no-op mark in every lane, consuming exactly one tie-break seq there, and
   // records the event; the round loop runs each lane up to (excluding) its
@@ -200,9 +223,9 @@ class Experiment {
   // --- Warm checkpoint/restore (warm-start sweeps) -----------------------
   // A warm checkpoint captures the full mutable simulation state at a
   // *quiescent* instant T: every flow complete, every queue empty, no pause
-  // open, and no pending event beyond the self-schedules of the generators,
-  // the queue-monitor tick, and `external_pending` caller-owned events
-  // (link-script events and scenario-installed generators, all at >= T).
+  // open, and no pending event beyond the self-schedules of the sources, the
+  // queue-monitor tick, and the marks of link-script events not yet applied
+  // (all at >= T).
   // Restoring into a freshly built, identically configured experiment then
   // reproduces the checkpointing run's state exactly — same RNG engines,
   // counters, pending (time, seq) pairs — so the continued run is
@@ -236,28 +259,27 @@ class Experiment {
     std::vector<net::SwitchNode::WarmState> switches;  // switches() order
     std::vector<net::Port::WarmCounters> ports;  // node asc, then port asc
     std::vector<host::HostNode::WarmCounters> hosts;   // hosts() order
-    // One slot per workload TrafficSource, install order (Poisson, trace
-    // replay, incast — whichever the config enables). Engaged iff the
-    // source was captured (its first activity predates T); a source whose
-    // schedule starts at or beyond T is left alone on restore — its own
-    // install-time schedule already matches. The vector size doubles as the
-    // structural echo restore validation checks.
+    // One slot per owned TrafficSource, enrollment order (the configured
+    // Poisson, trace replay and incast, then the installed ones). Engaged
+    // iff the source was captured (its first activity predates T); a source
+    // whose schedule starts at or beyond T is left alone on restore — its
+    // own install-time schedule already matches. The vector size doubles as
+    // the structural echo restore validation checks.
     std::vector<std::optional<workload::GenWarmState>> sources;
+    // The background max_flows cap counter (see MakeBackground).
+    uint64_t background_flows = 0;
   };
 
   // True when the current instant satisfies the quiescence contract above.
-  bool QuiescentForWarmCheckpoint(size_t external_pending);
+  bool QuiescentForWarmCheckpoint();
   std::unique_ptr<WarmState> CaptureWarmState();
-  // True when `w` structurally matches this experiment (same generator
-  // presence, node/port/host counts, non-regressed clock). Mutates nothing —
-  // callers that restore external state of their own (scenario-installed
-  // generators) check this before touching anything.
-  bool ValidateWarmState(const WarmState& w);
-  // Validates, then restores every captured piece and jumps the simulator
-  // clock/counters to T. Returns false (mutating nothing) on a structural
-  // mismatch — the caller runs cold. Call after StartWorkload, before any
-  // Run: the pre-T self-schedules this experiment drew are cancelled and
-  // replaced by the checkpoint's captured (time, seq) events.
+  // Restores every captured piece and jumps the simulator clock/counters to
+  // T. Returns false, mutating nothing, when `w` does not structurally match
+  // this experiment (source count, node/port/host counts, a regressed
+  // clock) — the caller then runs cold. Call after the same installs and
+  // StartWorkload the checkpointing run made, before any Run: the pre-T
+  // self-schedules this experiment drew are cancelled and replaced by the
+  // checkpoint's captured (time, seq) events.
   bool RestoreWarmState(const WarmState& w);
 
   // Lane 0's simulator: the canonical clock, and the only one when
@@ -323,8 +345,10 @@ class Experiment {
     stats::PercentileTracker short_fct_us;
     std::unique_ptr<stats::QueueMonitor> queue_monitor;
     std::unique_ptr<stats::PfcMonitor> pfc;
-    // Lane-replicated workload sources (Poisson, trace replay, incast).
+    // Lane-replicated sources: the configured ones first (config_sources_
+    // of them), then the installed ones, in enrollment order.
     std::vector<std::unique_ptr<workload::TrafficSource>> sources;
+    uint64_t background_flows = 0;  // shared max_flows cap (MakeBackground)
     uint64_t next_flow_id = 1;
     std::vector<host::Flow*> flow_ptrs;  // lane-owned flows, creation order
     uint64_t flows_completed = 0;
@@ -341,9 +365,11 @@ class Experiment {
   // Partitions the fabric over the lanes and wires each lane's channels,
   // stats, flow-completion callbacks and sources.
   void SetupLanes();
-  // Builds the configured TrafficSources (install order: Poisson, trace
-  // replay, incast) emitting into lane `lane`.
+  // Enrolls the configured TrafficSources (install order: Poisson, trace
+  // replay, incast) emitting into lane `lane`; StartWorkload starts them.
   void MakeSources(int lane);
+  // True when `w` structurally matches this experiment. Mutates nothing.
+  bool ValidateWarmState(const WarmState& w);
   // Replicated flow injection: ALWAYS consumes lane `lane`'s next flow id,
   // but creates a live flow only when the lane owns `src` — returns nullptr
   // otherwise.
@@ -369,6 +395,8 @@ class Experiment {
 
   ExperimentConfig config_;
   std::vector<std::unique_ptr<Lane>> lanes_;  // config.shards of them
+  // Leading entries of every lane's `sources` that StartWorkload starts.
+  size_t config_sources_ = 0;
   std::unique_ptr<topo::Topology> topology_;
   std::vector<uint32_t> hosts_;
   sim::TimePs base_rtt_ = 0;

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "check/monitors.h"
+#include "core/hash.h"
 #include "obs/manifest.h"
 #include "obs/telemetry.h"
 #include "obs/trace_export.h"
@@ -74,6 +75,13 @@ bool ReadTextFile(const std::string& path, std::string* out) {
   const bool ok = std::ferror(f) == 0;
   std::fclose(f);
   return ok;
+}
+
+// FNV-1a digest of a trace file's bytes; nullopt when it cannot be read.
+std::optional<uint64_t> TraceFileDigest(const std::string& path) {
+  std::string bytes;
+  if (!ReadTextFile(path, &bytes)) return std::nullopt;
+  return core::Fnv1a64(bytes);
 }
 
 // "x.json" + index 3 -> "x.run3.json" (plain append when no .json suffix):
@@ -213,6 +221,14 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
       }
     }
 
+    // The journal records the trace bytes this run is about to load, so
+    // --resume can tell an in-place edit of the file from the same input.
+    const bool journal = tcfg.manifest && !opts.manifest_path.empty();
+    std::optional<uint64_t> trace_digest;
+    if (journal && !cfg.trace_file.empty()) {
+      trace_digest = TraceFileDigest(cfg.trace_file);
+    }
+
     obs::PhaseTimers phases;
     std::unique_ptr<runner::Experiment> e;
     {
@@ -263,7 +279,7 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
       session = std::make_unique<obs::TelemetrySession>(tcfg, regs, e.get());
       session->Start();
     }
-    InstalledEvents events = InstallEvents(*e, run.scenario);
+    InstallEvents(*e, run.scenario);
     {
       obs::PhaseTimer run_timer(&phases.run_s);
       if (warm_pending) {
@@ -272,42 +288,9 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
         // going), then finish normally.
         e->StartWorkload();
         e->simulator().Run(warm_until, 0);
-        // Caller-owned pendings the quiescence accounting must explain: the
-        // link script (all at >= T — checked above) and the installed
-        // generators' own next schedules.
-        size_t external = 0;
-        for (const ScenarioEvent& ev : run.scenario.events) {
-          if (ev.kind == ScenarioEvent::Kind::kLinkDown ||
-              ev.kind == ScenarioEvent::Kind::kLinkUp) {
-            ++external;
-          }
-        }
-        for (const auto& g : events.phases) {
-          if (g->warm_pending()) ++external;
-        }
-        for (const auto& g : events.bursts) {
-          if (g->warm_pending()) ++external;
-        }
-        if (e->QuiescentForWarmCheckpoint(external)) {
+        if (e->QuiescentForWarmCheckpoint()) {
           auto cp = std::make_shared<WarmCheckpoint>();
-          std::unique_ptr<runner::Experiment::WarmState> st =
-              e->CaptureWarmState();
-          cp->state = std::move(*st);
-          for (const auto& g : events.phases) {
-            cp->phases.push_back(
-                g->first_activity() < warm_until
-                    ? std::optional<workload::GenWarmState>(g->CaptureWarm())
-                    : std::nullopt);
-          }
-          for (const auto& g : events.bursts) {
-            cp->bursts.push_back(
-                g->first_activity() < warm_until
-                    ? std::optional<workload::GenWarmState>(g->CaptureWarm())
-                    : std::nullopt);
-          }
-          for (const auto& c : events.background_flows) {
-            cp->background_flows.push_back(*c);
-          }
+          cp->state = std::move(*e->CaptureWarmState());
           if (session != nullptr) cp->counters = session->counters();
           warm_promise.set_value(std::move(cp));
           out.warm_built = true;
@@ -317,41 +300,18 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
         warm_pending = false;
         out.result = e->FinishRun();
       } else if (warm_future.valid()) {
-        // Member: adopt the builder's checkpoint if it materialized. Any
-        // null/mismatch path degenerates to the exact cold execution.
+        // Member: adopt the builder's checkpoint if it materialized. Same
+        // start order as a cold run, so this experiment draws the same
+        // schedule seqs the builder drew before its checkpoint. A null
+        // checkpoint or a mismatch mutates nothing, and StartWorkload +
+        // FinishRun is exactly Run().
         std::shared_ptr<const WarmCheckpoint> cp = warm_future.get();
-        if (cp != nullptr && cp->phases.size() == events.phases.size() &&
-            cp->bursts.size() == events.bursts.size() &&
-            cp->background_flows.size() == events.background_flows.size()) {
-          // Same start order as a cold run, so this experiment draws the
-          // same schedule seqs the builder drew before its checkpoint.
-          e->StartWorkload();
-          if (e->ValidateWarmState(cp->state)) {
-            // Installed generators before RestoreWarmState: their pre-T
-            // self-schedules must be cancelled and replaced while the clock
-            // is still pre-T (RestoreWarmState jumps it last).
-            for (size_t i = 0; i < events.phases.size(); ++i) {
-              if (cp->phases[i].has_value()) {
-                events.phases[i]->RestoreWarm(*cp->phases[i]);
-              }
-            }
-            for (size_t i = 0; i < events.bursts.size(); ++i) {
-              if (cp->bursts[i].has_value()) {
-                events.bursts[i]->RestoreWarm(*cp->bursts[i]);
-              }
-            }
-            for (size_t i = 0; i < events.background_flows.size(); ++i) {
-              *events.background_flows[i] = cp->background_flows[i];
-            }
-            if (session != nullptr) session->RestoreCounters(cp->counters);
-            out.warm_restored = e->RestoreWarmState(cp->state);
-          }
-          // Restored: continues from T. Not restored: nothing was mutated,
-          // and StartWorkload + FinishRun is exactly Run().
-          out.result = e->FinishRun();
-        } else {
-          out.result = e->Run();
+        e->StartWorkload();
+        if (cp != nullptr && e->RestoreWarmState(cp->state)) {
+          out.warm_restored = true;
+          if (session != nullptr) session->RestoreCounters(cp->counters);
         }
+        out.result = e->FinishRun();
       } else {
         out.result = e->Run();
       }
@@ -387,7 +347,7 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
     if (telemetry_on) {
       obs::PhaseTimer agg(&phases.aggregate_s);
       phases.routes_s = e->topology().route_compute_seconds();
-      if (tcfg.manifest && !opts.manifest_path.empty()) {
+      if (journal) {
         obs::ManifestInputs mi;
         mi.label = run.label;
         mi.params = run.params;
@@ -410,6 +370,7 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
         const std::vector<std::pair<std::string, std::string>> cells =
             MetricCells(out);
         mi.csv_cells = &cells;
+        mi.trace_file_digest = trace_digest;
         const std::string text = obs::BuildManifest(mi).Dump(2) + "\n";
         if (obs::WriteTextFile(opts.manifest_path, text)) {
           out.manifest_path = opts.manifest_path;
@@ -609,6 +570,18 @@ std::optional<SweepRunResult> ScenarioRunner::TryResume(
     }
     const Json* cells = sweep->Find("cells");
     if (cells == nullptr || !cells->is_object()) return std::nullopt;
+    // The echo holds only the trace file's path: its bytes must still be
+    // the ones the journal recorded (an unreadable file re-simulates too).
+    const std::string& trace_file = run.scenario.config.trace_file;
+    if (!trace_file.empty()) {
+      const Json* recorded = sweep->Find("trace_file_digest");
+      const std::optional<uint64_t> digest = TraceFileDigest(trace_file);
+      if (recorded == nullptr || !recorded->is_string() || !digest ||
+          std::strtoull(recorded->AsString().c_str(), nullptr, 16) !=
+              *digest) {
+        return std::nullopt;
+      }
+    }
 
     SweepRunResult out;
     out.label = run.label;

@@ -1,7 +1,8 @@
 // ScenarioRunner: expands a scenario's sweep grid and executes the points on
-// a thread pool. Each sim::Simulator is independent and single-threaded, so
-// sweep points are embarrassingly parallel; results are keyed by grid index,
-// making the aggregate CSV byte-identical for any --jobs value.
+// a thread pool. Sweep points share no simulation state (a point may itself
+// run on several lane threads), so they are embarrassingly parallel; results
+// are keyed by grid index, making the aggregate CSV byte-identical for any
+// --jobs value.
 //
 // Ownership and threading:
 //  - RunOne builds and tears down a full Experiment (simulator, topology,
@@ -29,17 +30,12 @@
 
 namespace hpcc::scenario {
 
-// One warm checkpoint (see runner::Experiment's warm surface): the
-// experiment-level state plus the state of every scenario-installed
-// generator (install order, engaged iff its activity predates the
-// checkpoint), the per-lane background-flow cap counters, and the telemetry
+// One warm checkpoint: the experiment's state (runner::Experiment's warm
+// surface, which covers every traffic source it owns) plus the telemetry
 // counter baseline. Immutable once published; shared across the grid points
 // whose WarmFingerprint matches.
 struct WarmCheckpoint {
   runner::Experiment::WarmState state;
-  std::vector<std::optional<workload::GenWarmState>> phases;
-  std::vector<std::optional<workload::GenWarmState>> bursts;
-  std::vector<uint64_t> background_flows;
   obs::TelemetryCounters counters;
 };
 
@@ -214,7 +210,7 @@ class ScenarioRunner {
   static bool WriteCsv(const std::string& path,
                        const std::vector<SweepRunResult>& results);
 
-  // Shared CLI tail (hpccsim --scenario and scenario_main): prints one
+  // The CLI tail of scenario_main (via RunScenarioFile): prints one
   // summary line per point, writes the aggregated CSV, and returns a process
   // exit code — 0 when every point succeeded and the CSV was written.
   static int ReportAndWriteCsv(const std::vector<SweepRunResult>& results,
@@ -254,10 +250,9 @@ class ScenarioRunner {
   ScenarioRunnerOptions options_;
 };
 
-// The whole CLI flow shared by `scenario_main FILE` and `hpccsim
-// --scenario=FILE`: load, expand, run, report, write the CSV (to
-// `out_override`, or "<scenario name>.csv" when empty). Catches and prints
-// scenario/runtime errors; returns the process exit code.
+// The whole CLI flow of `scenario_main FILE`: load, expand, run, report,
+// write the CSV (to `out_override`, or "<scenario name>.csv" when empty).
+// Catches and prints scenario/runtime errors; returns the process exit code.
 int RunScenarioFile(const std::string& path,
                     const ScenarioRunnerOptions& options,
                     const std::string& out_override);

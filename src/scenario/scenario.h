@@ -145,7 +145,7 @@ bool MutatesTopology(const Scenario& s);
 bool HasFaultEvents(const Scenario& s);
 
 // ExperimentConfig for one run. When the event script contains load phases
-// the built-in background generator is disabled (InstallEvents owns all
+// the built-in background generator is disabled (InstallEvents installs all
 // phase generators, including phase 0 from the configured load).
 runner::ExperimentConfig MakeExperimentConfig(const Scenario& s);
 
@@ -162,23 +162,16 @@ uint64_t FabricSignature(const Scenario& s);
 // install-time draw pattern) — so one warm checkpoint serves both.
 uint64_t WarmFingerprint(const Scenario& s);
 
-// Generators created by the event script; must outlive the run.
-// `phases` and `bursts` are install-ordered, so two experiments built from
-// the same scenario align element-wise — the warm-start runner relies on
-// this to carry generator state from a checkpointing run into a restored
-// one. `background_flows` holds the per-lane shared flow counters the phase
-// sinks use to enforce the global max_flows cap (empty without load phases);
-// warm restore must carry their values too.
-struct InstalledEvents {
-  std::vector<std::unique_ptr<workload::PoissonGenerator>> phases;
-  std::vector<std::unique_ptr<workload::IncastGenerator>> bursts;
-  std::vector<std::shared_ptr<uint64_t>> background_flows;
-};
+// What InstallEvents returns. Empty: the experiment owns every generator
+// the event script creates, so callers keep nothing alive. Kept only as a
+// name for existing callers.
+struct InstalledEvents {};
 
 // Schedules the scenario's timed events onto a freshly-built experiment:
 // link_down/link_up drive Topology::SetLinkUp (routes recompute), incast
 // events start one-shot bursts, load phases start windowed Poisson
-// generators. Validates link indices against the live topology.
+// generators (both handed to Experiment::AddSource, started at install
+// time). Validates link indices against the live topology.
 InstalledEvents InstallEvents(runner::Experiment& e, const Scenario& s);
 
 }  // namespace hpcc::scenario

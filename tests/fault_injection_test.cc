@@ -549,6 +549,58 @@ TEST(Resume, ScenarioMismatchInvalidatesTheJournal) {
   std::remove(second[0].manifest_path.c_str());
 }
 
+TEST(Resume, TraceFileEditInvalidatesTheJournal) {
+  // The scenario echo carries only the trace_file path, so an in-place edit
+  // of the CSV leaves it unchanged; the journaled digest of the file's bytes
+  // must send the point back to simulation.
+  const std::string base = testing::TempDir() + "/fault_resume_trace";
+  const std::string trace = base + ".trace.csv";
+  const auto write_trace = [&](const char* text) {
+    std::ofstream out(trace, std::ios::trunc);
+    out << text;
+  };
+  write_trace("arrival_us,src,dst,bytes\n10,0,1,20000\n20,2,3,20000\n");
+  const Scenario s = ParseScenarioText(R"({
+    "name": "resume_trace",
+    "topology": {"kind": "star", "hosts": 4},
+    "workload": {"trace_file": ")" + trace + R"("},
+    "duration_ms": 0.5
+  })");
+  ScenarioRunnerOptions o;
+  o.jobs = 1;
+  o.manifest = true;
+  o.out_base = base;
+  const auto first = ScenarioRunner(o).RunAll(s);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_TRUE(first[0].ok()) << first[0].error;
+  EXPECT_EQ(first[0].result.flows_created, 2u);
+
+  // Unchanged bytes: the journal still validates.
+  o.resume = true;
+  const auto same = ScenarioRunner(o).RunAll(s);
+  ASSERT_EQ(same.size(), 1u);
+  EXPECT_TRUE(same[0].resumed);
+
+  // Edited in place: re-simulated, with the edited trace's results.
+  write_trace(
+      "arrival_us,src,dst,bytes\n10,0,1,20000\n20,2,3,20000\n30,3,0,9000\n");
+  const auto edited = ScenarioRunner(o).RunAll(s);
+  ASSERT_EQ(edited.size(), 1u);
+  EXPECT_FALSE(edited[0].resumed);
+  ASSERT_TRUE(edited[0].ok()) << edited[0].error;
+  EXPECT_EQ(edited[0].result.flows_created, 3u);
+  EXPECT_NE(edited[0].result.trace_hash, first[0].result.trace_hash);
+
+  // Unreadable: never resumed (the run itself then fails to load it).
+  ASSERT_EQ(std::remove(trace.c_str()), 0);
+  const auto missing = ScenarioRunner(o).RunAll(s);
+  ASSERT_EQ(missing.size(), 1u);
+  EXPECT_FALSE(missing[0].resumed);
+  EXPECT_FALSE(missing[0].ok());
+
+  std::remove(edited[0].manifest_path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Post-run no-progress audit.
 // ---------------------------------------------------------------------------

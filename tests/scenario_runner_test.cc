@@ -41,7 +41,7 @@ constexpr char kLinkScript[] = R"({
 TEST(ScenarioEvents, LinkScriptRecomputesRoutesAndFlowsFinish) {
   const Scenario s = ParseScenarioText(kLinkScript);
   runner::Experiment e(MakeExperimentConfig(s));
-  InstalledEvents installed = InstallEvents(e, s);
+  InstallEvents(e, s);
 
   topo::Topology& t = e.topology();
   const uint32_t left_sw = t.switches()[0];
@@ -137,6 +137,34 @@ TEST(ScenarioEvents, MaxFlowsCapsTheWholeBackgroundAcrossPhases) {
   const SweepRunResult r = ScenarioRunner::RunOne(run);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.result.flows_created, 20u);
+}
+
+TEST(ScenarioEvents, ExperimentOwnsInstalledSources) {
+  // The experiment owns every generator InstallEvents builds (incast
+  // bursts, load phases), so dropping the return value in an inner scope
+  // must run exactly like holding it for the whole run.
+  const Scenario s = ParseScenarioText(R"({
+    "name": "ownership",
+    "topology": {"kind": "star", "hosts": 5},
+    "workload": {"load": 0.3, "trace": "fbhadoop", "max_flows": 25},
+    "duration_ms": 1,
+    "events": [
+      {"type": "incast", "at_us": 150, "fan_in": 3, "flow_bytes": 20000},
+      {"type": "load_phase", "at_us": 300, "load": 0.6}
+    ]
+  })");
+  runner::ExperimentResult kept;
+  {
+    runner::Experiment e(MakeExperimentConfig(s));
+    [[maybe_unused]] const InstalledEvents installed = InstallEvents(e, s);
+    kept = e.Run();
+  }
+  runner::Experiment e(MakeExperimentConfig(s));
+  { InstallEvents(e, s); }
+  const runner::ExperimentResult dropped = e.Run();
+  EXPECT_EQ(dropped.trace_hash, kept.trace_hash);
+  EXPECT_EQ(dropped.flows_created, kept.flows_created);
+  EXPECT_EQ(kept.flows_created, 25u + 3u);  // capped background + the burst
 }
 
 TEST(ScenarioEvents, InstallValidatesAgainstLiveTopology) {

@@ -243,6 +243,51 @@ TEST(WarmStart, CheckpointEngagesAndMatchesCold) {
   ExpectSameOutputs(cold, warm4);
 }
 
+// The background max_flows cap is one counter per lane shared by every load
+// phase, and it is part of the warm state. Here the cap runs out before the
+// checkpoint and a post-checkpoint load_phase restarts the background: cold
+// runs create no flow from it, so warm members may not either.
+TEST(WarmStart, BackgroundCapCarriesAcrossCheckpoint) {
+  const char* doc = R"({
+    "name": "warm_cap",
+    "topology": {"kind": "dumbbell", "hosts_per_side": 4,
+                  "host_gbps": 100, "trunk_gbps": 400},
+    "cc": {"scheme": "hpcc"},
+    "workload": {"load": 0.5, "trace": "fbhadoop", "max_flows": 12},
+    "duration_ms": 0.6,
+    "seed": 5,
+    "events": [
+      {"type": "incast", "at_us": 420, "fan_in": 3, "flow_bytes": 50000},
+      {"type": "load_phase", "at_us": 450, "load": 0.5}
+    ],
+    "warm_start": {"until_us": 400}
+  })";
+  const scenario::Scenario base = scenario::ParseScenarioText(doc);
+  std::vector<scenario::ScenarioRun> runs;
+  for (int i = 0; i < 4; ++i) {
+    scenario::ScenarioRun run;
+    run.scenario = base;
+    run.scenario.events[0].incast.fan_in = 2 + i;
+    run.label = "warm_cap[fan_in=" + std::to_string(2 + i) + "]";
+    run.params.emplace_back("fan_in", std::to_string(2 + i));
+    runs.push_back(std::move(run));
+  }
+
+  // The cap is spent before the checkpoint: a cold point creates exactly
+  // max_flows background flows plus its burst.
+  const scenario::SweepRunResult one = scenario::ScenarioRunner::RunOne(runs[0]);
+  ASSERT_TRUE(one.ok()) << one.error;
+  EXPECT_EQ(one.result.flows_created, 12u + 2u);
+
+  const SweepOutputs cold = RunVariant(runs, /*warm=*/false, 1, 0,
+                                       "warm_cap_cold");
+  const SweepOutputs warm = RunVariant(runs, /*warm=*/true, 1, 0,
+                                       "warm_cap_w1");
+  EXPECT_EQ(warm.built, 1u);
+  EXPECT_EQ(warm.restored, runs.size() - 1);
+  ExpectSameOutputs(cold, warm);
+}
+
 // The committed warm-sweep showcase must expand through the array-indexing
 // sweep axis ("events.1.fan_in") into 8 points that all share one warm
 // fingerprint — i.e. the scenario file really is warm-shareable as written.

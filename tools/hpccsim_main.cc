@@ -8,14 +8,14 @@
 //   hpccsim --scheme=hpcc --topo=star --hosts=17 --incast=16
 //           --incast-bytes=500000
 //   hpccsim --scheme=timely+win --topo=dumbbell --hosts=8 --load=0.4
-//   hpccsim --scenario=examples/scenarios/fig13_link_failure.json --jobs=4
+//
+// Scenario files (sweeps, timed events, telemetry) run through scenario_main.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "runner/experiment.h"
-#include "scenario/runner.h"
 #include "tools/cli_util.h"
 
 using namespace hpcc;
@@ -23,15 +23,6 @@ using namespace hpcc;
 namespace {
 
 struct Options {
-  std::string scenario;  // declarative mode: run a scenario file instead
-  std::string out;       // scenario mode CSV path
-  std::string trace_out;  // scenario mode: force Perfetto trace export
-  int jobs = 0;          // scenario mode sweep workers
-  bool check = false;    // scenario mode: run under the invariant monitors
-  bool manifest = false;  // scenario mode: write run manifests
-  bool progress = false;  // scenario mode: live sweep progress line
-  double deadline = 0;   // scenario mode: per-point wall deadline (seconds)
-  bool resume = false;   // scenario mode: skip journaled-complete points
   std::string scheme = "hpcc";
   std::string topo = "fattree";
   std::string trace = "websearch";
@@ -44,10 +35,9 @@ struct Options {
   bool lossy = false;
   bool irn = false;
   int fastpath = -1;  // -1 default (on), 0 reference engine, 1 trains
-  // 0 = default (scenario's value / 1 in direct mode); >= 1 forces N
-  // execution lanes. Works in both modes since results are shard-invariant.
+  // 0 = default (1 lane); >= 1 forces N execution lanes (results are
+  // shard-invariant).
   int shards = 0;
-  bool warm = true;  // --warm=off forces every sweep point to run cold
   bool paper_scale = false;
   double eta = 0.95;
   double wai = -1;
@@ -57,19 +47,7 @@ struct Options {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --scenario=FILE    run a declarative JSON scenario (sweeps + timed\n"
-      "                     events); all flags below are ignored\n"
-      "  --jobs=N           scenario mode: parallel sweep workers\n"
-      "  --out=PATH         scenario mode: aggregated CSV path\n"
-      "  --check            scenario mode: run under invariant monitors\n"
-      "  --trace-out=FILE   scenario mode: write a Chrome/Perfetto trace\n"
-      "  --manifest         scenario mode: write run manifest JSON(s)\n"
-      "  --deadline=SECONDS scenario mode: per-point wall-clock deadline\n"
-      "                     (a point exceeding it fails, sweep continues)\n"
-      "  --resume           scenario mode: skip points whose manifest\n"
-      "                     journal validates as complete (implies\n"
-      "                     --manifest)\n"
-      "  --progress         scenario mode: live sweep progress on stderr\n"
+      "  (scenario files: use scenario_main FILE)\n"
       "  --scheme=NAME      hpcc|hpcc-rxrate|hpcc-perack|hpcc-perrtt|\n"
       "                     hpcc-alpha|dcqcn|dcqcn+win|timely|timely+win|\n"
       "                     dctcp|rcp|rcp+win\n"
@@ -87,10 +65,6 @@ struct Options {
       "                     reference)\n"
       "  --shards=N         run on N execution lanes (conservative PDES);\n"
       "                     any N produces byte-identical results\n"
-      "  --warm=on|off      scenario mode: share fabric snapshots and\n"
-      "                     warm_start checkpoints across sweep points\n"
-      "                     (default: on; off forces cold runs — results\n"
-      "                     are byte-identical either way)\n"
       "  --irn              IRN loss recovery instead of go-back-N\n"
       "  --paper-scale      320-host FatTree / 32-host testbed\n"
       "  --seed=N\n",
@@ -102,11 +76,7 @@ Options Parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
-    if (cli::ConsumeFlag(argv[i], "--scenario", &v)) o.scenario = v;
-    else if (cli::ConsumeFlag(argv[i], "--jobs", &v)) o.jobs = std::atoi(v);
-    else if (cli::ConsumeFlag(argv[i], "--out", &v)) o.out = v;
-    else if (cli::ConsumeFlag(argv[i], "--trace-out", &v)) o.trace_out = v;
-    else if (cli::ConsumeFlag(argv[i], "--scheme", &v)) o.scheme = v;
+    if (cli::ConsumeFlag(argv[i], "--scheme", &v)) o.scheme = v;
     else if (cli::ConsumeFlag(argv[i], "--topo", &v)) o.topo = v;
     else if (cli::ConsumeFlag(argv[i], "--trace", &v)) o.trace = v;
     else if (cli::ConsumeFlag(argv[i], "--load", &v)) o.load = std::atof(v);
@@ -128,34 +98,10 @@ Options Parse(int argc, char** argv) {
       o.shards = std::atoi(v);
       if (o.shards < 1) Usage(argv[0]);
     }
-    else if (cli::ConsumeFlag(argv[i], "--warm", &v)) {
-      if (std::strcmp(v, "on") == 0) o.warm = true;
-      else if (std::strcmp(v, "off") == 0) o.warm = false;
-      else Usage(argv[0]);
-    }
-    else if (std::strcmp(argv[i], "--check") == 0) o.check = true;
-    else if (std::strcmp(argv[i], "--manifest") == 0) o.manifest = true;
-    else if (cli::ConsumeFlag(argv[i], "--deadline", &v)) {
-      o.deadline = std::atof(v);
-      if (!(o.deadline > 0)) Usage(argv[0]);
-    }
-    else if (std::strcmp(argv[i], "--resume") == 0) o.resume = true;
-    else if (std::strcmp(argv[i], "--progress") == 0) o.progress = true;
     else if (std::strcmp(argv[i], "--lossy") == 0) o.lossy = true;
     else if (std::strcmp(argv[i], "--irn") == 0) o.irn = true;
     else if (std::strcmp(argv[i], "--paper-scale") == 0) o.paper_scale = true;
     else Usage(argv[0]);
-  }
-  // --jobs/--out (and friends) only mean something in scenario mode;
-  // silently ignoring them would leave the user waiting for a CSV or a trace
-  // that never appears.
-  if (o.scenario.empty() &&
-      (o.jobs != 0 || !o.out.empty() || o.check || !o.trace_out.empty() ||
-       o.manifest || o.progress || o.deadline > 0 || o.resume)) {
-    std::fprintf(stderr,
-                 "error: --jobs/--out/--check/--trace-out/--manifest/"
-                 "--deadline/--resume/--progress require --scenario=FILE\n");
-    std::exit(2);
   }
   return o;
 }
@@ -164,23 +110,6 @@ Options Parse(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   const Options o = Parse(argc, argv);
-  if (!o.scenario.empty()) {
-    // Declarative mode: same engine as the standalone scenario_main tool.
-    scenario::ScenarioRunnerOptions ro;
-    ro.jobs = o.jobs;
-    ro.verbose = true;
-    ro.check = o.check;
-    ro.fastpath_override = o.fastpath;
-    ro.shards_override = o.shards;
-    ro.warm = o.warm;
-    ro.trace_out = o.trace_out;
-    ro.manifest = o.manifest;
-    ro.progress = o.progress;
-    ro.deadline_s = o.deadline;
-    ro.resume = o.resume;
-    return scenario::RunScenarioFile(o.scenario, ro, o.out);
-  }
-
   runner::ExperimentConfig cfg;
   if (o.topo == "fattree") {
     cfg.topology = runner::TopologyKind::kFatTree;
