@@ -4,7 +4,8 @@
 // This generalizes the single-link FluidLink map (analytic/fluid.h) into a
 // runtime engine over the real topology: each fluid flow is reduced to a
 // window trajectory W(t) walked once per coarse RTT tick, coupled across
-// every directed link on its (designed-topology, first-parent BFS) path.
+// every directed link on its path — the packets' ECMP path over the live
+// tables (topo::Topology::EcmpPath), re-walked on link events.
 // Per tick, per directed link of capacity B (bytes servable per tick T):
 //
 //   pkt    = real bytes the shared egress port transmitted since last tick
@@ -25,6 +26,11 @@
 // flows see packet load through the tx-byte deltas. Real queues, PFC and
 // drops are NOT modeled for fluid traffic — see docs/ARCHITECTURE.md for the
 // exact contract and its monitor implications.
+//
+// Link state: the owner calls Repath() after every link-state change, which
+// re-walks every live flow. A flow with no live path is stalled: it offers
+// and delivers nothing and keeps its window until a later Repath finds it a
+// path. A down link serves no fluid and drops its fluid backlog.
 //
 // Determinism: ticks run through the normal event queue (one
 // sim::Simulator::SchedulePeriodic series, EventClass::kOther tie-breaks),
@@ -71,26 +77,49 @@ class FluidRegion {
     sim::TimePs finish = 0;
     bool done = false;
   };
-  // Invoked inside the completing tick's event (deterministic order).
+  // Invoked inside the completing tick's event (deterministic order). Must
+  // not admit flows.
   using CompletionFn = std::function<void(const FlowRecord&, sim::TimePs now)>;
+  // Invoked at the end of every tick (invariant monitors).
+  using TickObserver = std::function<void(sim::TimePs now)>;
 
   FluidRegion(sim::Simulator* simulator, topo::Topology* topology,
               const FluidRegionParams& params);
 
   void set_completion_callback(CompletionFn fn) { completion_ = std::move(fn); }
+  void set_tick_observer(TickObserver fn) { tick_observer_ = std::move(fn); }
 
   // Admits a fluid flow at the current simulation time. `id` comes from the
   // experiment's shared flow-id space (fluid and packet flows interleave in
-  // one creation order). Lazily starts the tick series.
+  // one creation order) and picks the flow's ECMP path exactly as it would
+  // a packet's. Lazily starts the tick series.
   void AddFlow(uint64_t id, uint32_t src, uint32_t dst, uint64_t size_bytes,
                sim::TimePs start);
+  // Re-walks every live flow's path over the current link state and routing
+  // tables; flows left without a path stall (see the header comment).
+  void Repath();
 
   // Unfinished flows remain (the experiment's drain loop waits on this).
-  bool active() const { return live_flows_ > 0; }
+  bool active() const { return !live_.empty(); }
   // All admitted flows, admission order.
   const std::vector<FlowRecord>& flows() const { return records_; }
+  // Egress ports of flow i's current path, src -> dst order; empty while the
+  // flow is stalled or done.
+  std::vector<const net::Port*> FlowPath(size_t i) const;
+
+  // One coupled directed link as the last tick left it (monitors).
+  struct LinkAudit {
+    const net::Port* port = nullptr;  // the shared egress port
+    double offered = 0;               // fluid bytes offered this tick
+    double served = 0;                // fluid bytes served this tick
+  };
+  LinkAudit link_audit(size_t i) const {
+    const DirectedLink& d = dlinks_[i];
+    return {d.port, d.sum_w, d.served};
+  }
 
   uint64_t flows_admitted() const { return records_.size(); }
+  uint64_t admitted_bytes() const { return admitted_bytes_; }
   uint64_t flows_completed() const { return completed_; }
   uint64_t ticks() const { return ticks_; }
   // Directed links carrying at least one fluid flow so far.
@@ -111,20 +140,25 @@ class FluidRegion {
     double served = 0;
     double share = 1.0;  // fraction of offered fluid bytes served
     double u = 0;
+    bool pushed_idle = false;  // the port holds fluid state (0, 0)
   };
+  // flows_[i] is the dynamic state of records_[i].
   struct Flow {
-    size_t record = 0;  // index into records_
     double window = 0;
     double remaining = 0;
+    uint64_t owed = 0;  // bytes not yet added to delivered_bytes_
     int stage = 0;
-    bool done = false;
     double window_cap = 0;  // line-rate bound: min path cap_per_tick
-    std::vector<uint32_t> links;  // DirectedLink indices, src -> dst order
+    // DirectedLink indices, src -> dst order; empty while stalled.
+    std::vector<uint32_t> links;
   };
 
   // One fluid round; returns false (ending the periodic series) once no
   // live flow remains and every backlog has drained.
   bool Tick();
+  // Walks flow i's ECMP path into its link list (empty: stalled) and
+  // re-derives its line-rate window bound.
+  void WalkPath(size_t i);
   uint32_t InternDirectedLink(size_t link_index, bool a_to_b);
 
   sim::Simulator* simulator_;
@@ -136,13 +170,19 @@ class FluidRegion {
   std::vector<DirectedLink> dlinks_;
   std::vector<Flow> flows_;
   std::vector<FlowRecord> records_;
-  uint64_t live_flows_ = 0;
+  // Unfinished flow indices in admission order: the per-tick flow passes
+  // skip finished flows entirely and still visit the rest in the order the
+  // completion callbacks and the trace hash rely on.
+  std::vector<uint32_t> live_;
+  std::vector<topo::Topology::Hop> hops_scratch_;
+  uint64_t admitted_bytes_ = 0;
   uint64_t completed_ = 0;
   uint64_t ticks_ = 0;
   uint64_t delivered_bytes_ = 0;
   int64_t peak_queue_bytes_ = 0;
   bool ticking_ = false;
   CompletionFn completion_;
+  TickObserver tick_observer_;
 };
 
 }  // namespace hpcc::analytic

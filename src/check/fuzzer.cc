@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <fstream>
 #include <memory>
+#include <stdexcept>
 
 #include "cc/factory.h"
 #include "check/monitors.h"
@@ -13,6 +15,7 @@
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "sim/rng.h"
+#include "workload/trace_replay.h"
 
 namespace hpcc::check {
 namespace {
@@ -78,7 +81,8 @@ double RandFanIn(sim::Rng& rng, size_t num_hosts) {
 
 }  // namespace
 
-Json GenerateScenarioDoc(uint64_t seed, int index, bool faults) {
+Json GenerateScenarioDoc(uint64_t seed, int index, bool faults,
+                         std::string* trace_csv) {
   sim::Rng rng(core::SplitMix64(seed * 0x9e3779b97f4a7c15ULL +
                                 static_cast<uint64_t>(index)));
 
@@ -219,6 +223,64 @@ Json GenerateScenarioDoc(uint64_t seed, int index, bool faults) {
       up.Set("host", Num(host));
       events.Append(std::move(up));
     }
+  }
+  // Hybrid fluid/packet and trace-replay coverage. Drawn after everything
+  // above, so a document that takes neither branch is byte-identical to the
+  // historical one.
+  if (rng.Uniform() < 0.25) {
+    // The fluid engine couples through INT, and runs on one lane.
+    Json cc_hpcc = Json::MakeObject();
+    cc_hpcc.Set("scheme", Str("hpcc"));
+    doc.Set("cc", std::move(cc_hpcc));
+    Json hybrid = Json::MakeObject();
+    if (rng.Uniform() < 0.5) {
+      hybrid.Set("tick_us", Num(4 + static_cast<double>(rng.Index(17))));
+    }
+    doc.Set("hybrid", std::move(hybrid));
+    Json workload = *doc.Find("workload");
+    if (rng.Uniform() < 0.7) workload.Set("flow_class", Str("fluid"));
+    if (const Json* inc = workload.Find("incast")) {
+      if (rng.Uniform() < 0.3) {
+        Json fluid_inc = *inc;
+        fluid_inc.Set("flow_class", Str("fluid"));
+        workload.Set("incast", std::move(fluid_inc));
+      }
+    }
+    doc.Set("workload", std::move(workload));
+    Json with_fluid_bursts = Json::MakeArray();
+    for (size_t i = 0; i < events.size(); ++i) {
+      Json ev = events.at(i);
+      if (ev.Find("type")->AsString() == "incast" && rng.Uniform() < 0.3) {
+        ev.Set("flow_class", Str("fluid"));
+      }
+      with_fluid_bursts.Append(std::move(ev));
+    }
+    events = std::move(with_fluid_bursts);
+  }
+  // 15%: a recorded flow trace on top of the synthetic workload. The
+  // document names "<name>.trace.csv"; its rows go to `trace_csv` for the
+  // caller to write next to the document.
+  if (rng.Uniform() < 0.15 && num_hosts >= 2) {
+    const std::string name = doc.Find("name")->AsString();
+    std::vector<workload::TraceRecord> rows(5 + rng.Index(26));
+    for (workload::TraceRecord& r : rows) {
+      // 10 ns grid: exact in the CSV's decimal microseconds.
+      r.at = static_cast<sim::TimePs>(rng.Index(
+                 static_cast<size_t>(duration_us * 60))) * sim::Ns(10);
+      const std::vector<size_t> pair = rng.SampleDistinct(2, num_hosts);
+      r.src = static_cast<uint32_t>(pair[0]);
+      r.dst = static_cast<uint32_t>(pair[1]);
+      r.bytes = 1000 * (1 + rng.Index(200));
+    }
+    std::stable_sort(
+        rows.begin(), rows.end(),
+        [](const workload::TraceRecord& a, const workload::TraceRecord& b) {
+          return a.at < b.at;
+        });
+    Json workload = *doc.Find("workload");
+    workload.Set("trace_file", Str(name + ".trace.csv"));
+    doc.Set("workload", std::move(workload));
+    if (trace_csv != nullptr) *trace_csv = workload::FormatFlowTrace(rows);
   }
   if (events.size() > 0) doc.Set("events", std::move(events));
   return doc;
@@ -420,8 +482,23 @@ int FuzzMain(const FuzzOptions& options, const MonitorInstaller& extra) {
   size_t total_violations = 0;
   for (int i = 0; i < options.runs; ++i) {
     Json doc;
+    std::string trace_csv;
+    std::string trace_path;
     try {
-      doc = GenerateScenarioDoc(options.seed, i, options.faults);
+      doc = GenerateScenarioDoc(options.seed, i, options.faults, &trace_csv);
+      if (!trace_csv.empty()) {
+        // The trace lives next to the reproducer, under the path the
+        // document (and so the reproducer) names.
+        Json workload = *doc.Find("workload");
+        trace_path = (options.reproducer_dir.empty() ? std::string(".")
+                                                     : options.reproducer_dir) +
+                     "/" + workload.Find("trace_file")->AsString();
+        std::ofstream out(trace_path, std::ios::binary);
+        out << trace_csv;
+        if (!out) throw std::runtime_error("cannot write " + trace_path);
+        workload.Set("trace_file", Str(trace_path));
+        doc.Set("workload", std::move(workload));
+      }
     } catch (const std::exception& ex) {
       // A generator that emits an invalid scenario is itself a bug; report
       // it like a violation instead of tearing the whole fuzz run down.
@@ -476,7 +553,9 @@ int FuzzMain(const FuzzOptions& options, const MonitorInstaller& extra) {
         ++rep.violation_count;
       }
     }
-    if (rep.ok() && options.check_shards) {
+    // Hybrid runs are single-lane by schema ("hybrid requires shards = 1").
+    const bool hybrid = doc.Find("hybrid") != nullptr;
+    if (rep.ok() && options.check_shards && !hybrid) {
       // Equivalence pin for sharded execution: a two-lane replay must
       // produce the same per-flow outcomes and a clean monitor log. Same
       // budget headroom as the fastpath replay (the lanes execute a handful
@@ -571,6 +650,8 @@ int FuzzMain(const FuzzOptions& options, const MonitorInstaller& extra) {
       WriteAndAnnounceReproducer(doc, options, &rep);
       continue;
     }
+    // A clean run's trace file goes; a bad run's stays with its reproducer.
+    if (!trace_path.empty()) std::remove(trace_path.c_str());
     if (options.verbose) {
       std::fprintf(stderr,
                    "[%d/%d] %s: ok  flows %llu/%llu  trace %016llx\n", i + 1,

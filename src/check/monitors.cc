@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <string>
 
+#include "analytic/fluid_region.h"
 #include "net/packet.h"
+#include "net/port.h"
 #include "runner/experiment.h"
 
 namespace hpcc::check {
@@ -293,6 +295,40 @@ void LosslessDropMonitor::OnFinish(sim::TimePs now) {
   }
 }
 
+// ---- FluidSanityMonitor -----------------------------------------------------
+
+void FluidSanityMonitor::OnTick(sim::TimePs now) {
+  reported_.resize(region_->coupled_links(), 0);
+  for (size_t i = 0; i < region_->coupled_links(); ++i) {
+    if (reported_[i] != 0) continue;
+    const analytic::FluidRegion::LinkAudit a = region_->link_audit(i);
+    std::string what;
+    if (!a.port->link_up() && (a.offered > 0 || a.served > 0)) {
+      what = "carries fluid while down (offered " +
+             std::to_string(a.offered) + " B, served " +
+             std::to_string(a.served) + " B this tick)";
+    } else if (max_qlen_bytes_ > 0 && a.port->fluid_qlen() > max_qlen_bytes_) {
+      what = "projects fluid qLen " + std::to_string(a.port->fluid_qlen()) +
+             " B into INT, above the " + std::to_string(max_qlen_bytes_) +
+             " B buffer";
+    } else {
+      continue;
+    }
+    reported_[i] = 1;
+    Report(now, "coupled link " + std::to_string(i) + " (egress port " +
+                    std::to_string(a.port->index()) + " toward node " +
+                    std::to_string(a.port->peer()->id()) + ") " + what);
+  }
+  if (!reported_bytes_ &&
+      region_->delivered_bytes() > region_->admitted_bytes()) {
+    reported_bytes_ = true;
+    Report(now, "fluid flows delivered " +
+                    std::to_string(region_->delivered_bytes()) +
+                    " B of only " + std::to_string(region_->admitted_bytes()) +
+                    " B admitted");
+  }
+}
+
 // ---- CheckFlowProgress ------------------------------------------------------
 
 void CheckFlowProgress(MonitorRegistry& registry, runner::Experiment& e,
@@ -368,6 +404,11 @@ void InstallStandardMonitors(MonitorRegistry& registry, runner::Experiment& e,
 
   registry.Add(std::make_unique<CcSanityMonitor>(max_nic_bps));
   registry.Add(std::make_unique<LosslessDropMonitor>(cfg.pfc_enabled));
+  if (analytic::FluidRegion* fluid = e.fluid_region()) {
+    auto* m = static_cast<FluidSanityMonitor*>(registry.Add(
+        std::make_unique<FluidSanityMonitor>(fluid, max_buffer)));
+    fluid->set_tick_observer([m](sim::TimePs now) { m->OnTick(now); });
+  }
 
   registry.set_clock(&e.lane_simulator(lane));
   registry.AttachTo(topology, e.lane_nodes(lane));

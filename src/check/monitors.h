@@ -19,6 +19,11 @@
 //   LosslessDropMonitor       a PFC-protected fabric never drops for buffer
 //                             exhaustion (route drops from link failures are
 //                             legitimate and exempt).
+//   FluidSanityMonitor        hybrid runs, after every fluid tick: fluid
+//                             bytes are offered and served only on up links,
+//                             fluid flows never deliver more bytes than were
+//                             admitted, and the fluid qLen a port projects
+//                             into INT stays within the switch buffer.
 //
 // InstallStandardMonitors wires all of them to a live Experiment with bounds
 // taken from its actual topology and config.
@@ -35,6 +40,9 @@
 
 namespace hpcc::runner {
 class Experiment;
+}
+namespace hpcc::analytic {
+class FluidRegion;
 }
 
 namespace hpcc::check {
@@ -188,6 +196,23 @@ class LosslessDropMonitor : public InvariantMonitor {
  private:
   bool pfc_enabled_;
   uint64_t buffer_drops_ = 0;
+};
+
+class FluidSanityMonitor : public InvariantMonitor {
+ public:
+  FluidSanityMonitor(const analytic::FluidRegion* region,
+                     int64_t max_qlen_bytes)
+      : region_(region), max_qlen_bytes_(max_qlen_bytes) {}
+  std::string name() const override { return "fluid-sanity"; }
+  unsigned interests() const override { return 0; }  // no packet hooks
+  // Audits the region as one tick left it (FluidRegion's tick observer).
+  void OnTick(sim::TimePs now);
+
+ private:
+  const analytic::FluidRegion* region_;
+  int64_t max_qlen_bytes_;
+  std::vector<uint8_t> reported_;  // per coupled link: one report each
+  bool reported_bytes_ = false;
 };
 
 // Options for InstallStandardMonitors; every field defaults to "derive from

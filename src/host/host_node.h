@@ -77,6 +77,12 @@ class HostNode : public net::Node {
     flow_done_ = std::move(cb);
   }
 
+  // The NIC port every packet of `flow_id` leaves on (data and the
+  // reverse-direction control packets alike). Link state is not consulted:
+  // a flow pinned to a down NIC stalls until the link returns. The hybrid
+  // fluid engine starts its path walk here (topo::Topology::EcmpPath).
+  int PickPort(uint64_t flow_id) const;
+
   const HostConfig& config() const { return config_; }
   Flow* FindFlow(uint64_t flow_id);
   uint64_t data_bytes_sent() const { return data_bytes_sent_; }
@@ -131,7 +137,6 @@ class HostNode : public net::Node {
   void SendOnePacket(Flow& flow, sim::TimePs now);
   void ArmRto(Flow& flow);
   void OnRto(uint64_t flow_id);
-  int PickPort(uint64_t flow_id) const;
 
   // RX pipe.
   void HandleData(net::PacketPtr pkt);

@@ -114,6 +114,11 @@ class Port {
   void SetFluidState(int64_t qlen_bytes, int64_t rate_Bps,
                      int64_t qlen_cap_bytes);
   bool has_fluid_state() const { return fluid_active_; }
+  // The fluid backlog INT stamps add to qLen, after the cap.
+  int64_t fluid_qlen() const {
+    return fluid_qlen_cap_ > 0 ? std::min(fluid_qlen_, fluid_qlen_cap_)
+                               : fluid_qlen_;
+  }
   // Virtual fluid byte counter at time `t` (monotone in t).
   uint64_t FluidTxAt(sim::TimePs t) const;
 

@@ -44,17 +44,17 @@ void SwitchNode::SetRoutes(const std::vector<std::vector<uint16_t>>& routes) {
   }
 }
 
-int SwitchNode::RoutePort(const Packet& pkt) const {
+int SwitchNode::RoutePort(uint64_t flow_id, uint32_t dst) const {
   // A corrupt/out-of-range dst must be a visible kNoRoute drop, not a silent
   // out-of-bounds read (an assert here compiles out in Release).
-  if (pkt.dst >= route_view_->num_dsts()) [[unlikely]] return -1;
-  const NextHopTable::Group g = route_view_->Lookup(pkt.dst);
+  if (dst >= route_view_->num_dsts()) [[unlikely]] return -1;
+  const NextHopTable::Group g = route_view_->Lookup(dst);
   if (g.size == 0) return -1;  // disconnected (link failures)
   if (g.size == 1) return g.ports[0];
   // Per-flow ECMP: hash is stable for a flow at this switch, so all packets
   // of a flow take one path (no reordering in the common case).
   const uint64_t h =
-      core::SplitMix64(pkt.flow_id ^ (static_cast<uint64_t>(id_) << 40));
+      core::SplitMix64(flow_id ^ (static_cast<uint64_t>(id_) << 40));
   return g.ports[h % g.size];
 }
 
@@ -102,7 +102,7 @@ void SwitchNode::Receive(PacketPtr pkt, int in_port) {
                                simulator_->now());
     return;
   }
-  const int out_port = RoutePort(*pkt);
+  const int out_port = RoutePort(pkt->flow_id, pkt->dst);
   if (out_port < 0) {
     ++dropped_packets_;
     dropped_bytes_ += static_cast<uint64_t>(pkt->size_bytes());

@@ -100,10 +100,13 @@ class SwitchNode : public Node {
   // Convenience for tests/benches that wire a switch by hand: installs one
   // candidate list per destination node id (index = dst).
   void SetRoutes(const std::vector<std::vector<uint16_t>>& routes);
-  // ECMP egress port for pkt.dst, or -1 when there is no route — including
-  // an out-of-range dst, which is a checked (hook-visible kNoRoute) drop
-  // rather than undefined behavior on a corrupt packet.
-  int RoutePort(const Packet& pkt) const;
+  // ECMP egress port of flow `flow_id` toward `dst`, or -1 when there is no
+  // route — including an out-of-range dst, which is a checked (hook-visible
+  // kNoRoute) drop rather than undefined behavior on a corrupt packet. The
+  // one definition of the per-flow ECMP choice: Receive forwards packets with
+  // it and the hybrid fluid engine walks its flows over it
+  // (topo::Topology::EcmpPath), so both engines put a flow on one path.
+  int RoutePort(uint64_t flow_id, uint32_t dst) const;
 
   // Called by Topology after ports are wired.
   void FinishSetup();

@@ -528,6 +528,9 @@ void Experiment::RunLanes(sim::TimePs until) {
     if (round.mark != kNoMark) {
       const ScriptEvent& ev = script_[round.mark];
       topology_->SetLinkUp(ev.link, ev.up);
+      // Every link-state change (switch and NIC faults expand into per-link
+      // events) passes here; fluid flows follow the repaired routes.
+      if (fluid_ != nullptr) fluid_->Repath();
       ++script_next_;
       round.lookahead = topo::UpLookahead(*topology_, partition_);
     } else if (round.now == until) {

@@ -434,6 +434,34 @@ std::vector<size_t> Topology::ShortestPathLinks(uint32_t src,
   return path;
 }
 
+bool Topology::EcmpPath(uint32_t src, uint32_t dst, uint64_t flow_id,
+                        std::vector<Hop>* out) const {
+  out->clear();
+  if (src == dst || nodes_[src]->IsSwitch() || adj_[src].empty()) {
+    return false;
+  }
+  uint32_t n = src;
+  int port =
+      static_cast<const host::HostNode&>(*nodes_[src]).PickPort(flow_id);
+  // Tables built by BFS strictly decrease the distance to dst at every hop;
+  // the bound only guards against a walk that never arrives.
+  for (size_t hops = 0; hops < nodes_.size(); ++hops) {
+    // adj_[n] lists n's links in port order (AddLink adds both together).
+    const Edge& e = adj_[n][static_cast<size_t>(port)];
+    const LinkSpec& l = links_[e.link];
+    if (!l.up) return false;
+    out->push_back(
+        Hop{static_cast<uint32_t>(e.link), l.a == n && l.port_a == port});
+    n = e.peer;
+    if (n == dst) return true;
+    if (!nodes_[n]->IsSwitch()) return false;
+    port = static_cast<const net::SwitchNode&>(*nodes_[n]).RoutePort(flow_id,
+                                                                     dst);
+    if (port < 0) return false;
+  }
+  return false;
+}
+
 sim::TimePs Topology::LinkRttCost(int64_t bps, sim::TimePs delay) {
   const int data_bytes = net::kPayloadBytes + net::kDataHeaderBytes +
                          core::IntStack::kWorstCaseWireBytes;

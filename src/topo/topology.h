@@ -155,10 +155,22 @@ class Topology {
 
   // One shortest path (first-parent BFS) as a sequence of LinkSpec indices
   // in src -> dst walk order, over the designed topology (link state
-  // ignored). The per-link traversal direction is recoverable by walking
-  // from `src`: the endpoint matching the current node is the egress side.
-  // The hybrid fluid engine uses this to pin each fluid flow's link list.
+  // ignored): the oracle behind BaseRttViaBfs / BottleneckBpsViaBfs.
   std::vector<size_t> ShortestPathLinks(uint32_t src, uint32_t dst) const;
+
+  // One traversed link of an EcmpPath, with the egress side it leaves from.
+  struct Hop {
+    uint32_t link = 0;
+    bool a_to_b = true;  // egress is LinkSpec::a (else LinkSpec::b)
+  };
+  // The links a packet of flow `flow_id` traverses src -> dst right now:
+  // the NIC HostNode::PickPort chooses, then SwitchNode::RoutePort over the
+  // live routing tables at every switch. O(hops), no BFS. Fills `out` in
+  // walk order and returns true; returns false (with `out` partial) when
+  // the flow has no live path — a down link on the way, a switch without a
+  // route, or a walk that strays to another host.
+  bool EcmpPath(uint32_t src, uint32_t dst, uint64_t flow_id,
+                std::vector<Hop>* out) const;
 
   // BFS-only variants bypassing the analytic model — the oracle the model
   // equality tests compare against.

@@ -1,20 +1,28 @@
 // Hybrid fluid/packet co-simulation gates: config + scenario-schema
 // validation, fluid-engine accounting, the determinism suite (equal trace
-// hashes across runs, --jobs values and both fastpath engines), and the
-// k=16 incast A/B tolerance pin (pure-packet vs hybrid background).
+// hashes across runs, --jobs values and both fastpath engines), the k=16
+// incast A/B tolerance pin (pure-packet vs hybrid background), and the
+// fluid path contract: fluid flows take the packets' ECMP path, follow link
+// state, and spread over the fabric exactly as their packet twins do.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "check/fuzzer.h"
+#include "check/monitors.h"
+#include "net/port.h"
 #include "runner/experiment.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
+#include "sim/rng.h"
 
 namespace hpcc {
 namespace {
@@ -262,6 +270,281 @@ TEST(Hybrid, K16IncastAbFctWithinTolerance) {
   // the fluid backpressure no longer resembles the packet background.
   EXPECT_GT(ratio, 0.7) << "hybrid p95 " << h_p95 << " vs packet " << p_p95;
   EXPECT_LT(ratio, 1.4) << "hybrid p95 " << h_p95 << " vs packet " << p_p95;
+}
+
+// The hop-by-hop packet route of flow `id`, followed port by port: the NIC
+// the host picks, then RoutePort at every switch. Empty when a packet of
+// the flow could not reach dst right now.
+std::vector<const net::Port*> PacketRoute(topo::Topology& t, uint32_t src,
+                                          uint32_t dst, uint64_t id) {
+  std::vector<const net::Port*> route;
+  net::Node* n = &t.node(src);
+  int port = t.host(src).PickPort(id);
+  while (route.size() < t.num_nodes()) {
+    const net::Port& p = n->port(port);
+    if (!p.link_up()) return {};
+    route.push_back(&p);
+    n = p.peer();
+    if (n->id() == dst) return route;
+    if (!n->IsSwitch()) return {};
+    port = t.switch_node(n->id()).RoutePort(id, dst);
+    if (port < 0) return {};
+  }
+  return {};
+}
+
+// Index of the link `egress` transmits onto.
+size_t LinkOf(topo::Topology& t, const net::Port* egress) {
+  for (size_t li = 0; li < t.links().size(); ++li) {
+    const topo::LinkSpec& l = t.links()[li];
+    if (&t.node(l.a).port(l.port_a) == egress ||
+        &t.node(l.b).port(l.port_b) == egress) {
+      return li;
+    }
+  }
+  return t.links().size();
+}
+
+TEST(Hybrid, FluidPathIsThePacketEcmpPath) {
+  runner::ExperimentConfig cfg;
+  cfg.topology = runner::TopologyKind::kFatTree;  // k=8: 128 hosts
+  cfg.fattree.pods = 8;
+  cfg.fattree.tors_per_pod = 4;
+  cfg.fattree.aggs_per_pod = 4;
+  cfg.fattree.cores_per_agg = 4;
+  cfg.fattree.hosts_per_tor = 4;
+  cfg.cc.scheme = "hpcc";
+  cfg.hybrid.enabled = true;
+  runner::Experiment e(cfg);
+  topo::Topology& t = e.topology();
+  analytic::FluidRegion& region = *e.fluid_region();
+
+  struct Triple {
+    uint32_t src, dst;
+    uint64_t id;
+  };
+  std::vector<Triple> triples;
+  sim::Rng rng(20190819);
+  const std::vector<uint32_t>& hosts = e.hosts();
+  for (int i = 0; i < 256; ++i) {
+    const std::vector<size_t> pair = rng.SampleDistinct(2, hosts.size());
+    const uint64_t id = rng.engine()();
+    triples.push_back({hosts[pair[0]], hosts[pair[1]], id});
+    region.AddFlow(id, hosts[pair[0]], hosts[pair[1]], 1'000'000, 0);
+  }
+  auto expect_paths_match = [&](const char* when) {
+    size_t routed = 0;
+    for (size_t i = 0; i < triples.size(); ++i) {
+      const Triple& tr = triples[i];
+      const std::vector<const net::Port*> packet =
+          PacketRoute(t, tr.src, tr.dst, tr.id);
+      EXPECT_EQ(region.FlowPath(i), packet) << when << ", flow " << i;
+      if (!packet.empty()) ++routed;
+    }
+    return routed;
+  };
+  EXPECT_EQ(expect_paths_match("designed fabric"), triples.size());
+
+  // ECMP spread: first-hop aggs of cross-pod flows cover every agg, instead
+  // of the BFS's first parent.
+  std::map<const net::Node*, int> first_aggs;
+  for (size_t i = 0; i < triples.size(); ++i) {
+    const std::vector<const net::Port*> path = region.FlowPath(i);
+    if (path.size() == 6) ++first_aggs[path[1]->peer()];
+  }
+  EXPECT_EQ(first_aggs.size(), 4u * static_cast<size_t>(cfg.fattree.pods));
+
+  // Take down the ToR -> agg uplink of a cross-pod flow `a` and the source
+  // NIC of another flow `b`: the first reroutes every flow on that uplink,
+  // the second strands b's host.
+  size_t a = 0;
+  while (region.FlowPath(a).size() != 6) ++a;
+  size_t b = 0;
+  while (triples[b].src == triples[a].src || triples[b].src == triples[a].dst) {
+    ++b;
+  }
+  const std::vector<const net::Port*> before_a = region.FlowPath(a);
+  const size_t uplink = LinkOf(t, before_a[1]);
+  const size_t nic = LinkOf(t, region.FlowPath(b)[0]);
+  t.SetLinkUp(uplink, false);
+  t.SetLinkUp(nic, false);
+  region.Repath();
+  EXPECT_LT(expect_paths_match("after link_down"), triples.size());
+  EXPECT_TRUE(region.FlowPath(b).empty());
+  EXPECT_NE(region.FlowPath(a), before_a);
+  for (size_t i = 0; i < triples.size(); ++i) {
+    for (const net::Port* p : region.FlowPath(i)) {
+      EXPECT_TRUE(p->link_up()) << "flow " << i << " routed over a down link";
+    }
+  }
+
+  // Repair restores every path.
+  t.SetLinkUp(uplink, true);
+  t.SetLinkUp(nic, true);
+  region.Repath();
+  EXPECT_EQ(expect_paths_match("after link_up"), triples.size());
+  EXPECT_EQ(region.FlowPath(a), before_a);
+}
+
+// A ToR uplink fails under a live fluid flow: at the link_down every flow on
+// it moves to a surviving uplink (the fluid-sanity monitor flags any fluid
+// offered to a down link), and after the repair every flow completes.
+TEST(Hybrid, LinkFlapRepathsLiveFluidFlowsUnderMonitors) {
+  runner::Experiment e(SmallHybridConfig());
+  check::MonitorRegistry reg;
+  check::StandardMonitorOptions mo;
+  mo.topology_mutates = true;
+  check::InstallStandardMonitors(reg, e, mo);
+  e.StartWorkload();
+  e.RunUntil(sim::Us(200));
+
+  const analytic::FluidRegion& region = *e.fluid_region();
+  size_t victim = 0;
+  while (victim < region.flows().size() &&
+         (region.flows()[victim].done || region.FlowPath(victim).size() < 4)) {
+    ++victim;
+  }
+  ASSERT_LT(victim, region.flows().size()) << "no live cross-ToR fluid flow";
+  const size_t hops = region.FlowPath(victim).size();
+  const net::Port* uplink_port = region.FlowPath(victim)[1];
+  const size_t uplink = LinkOf(e.topology(), uplink_port);
+  const sim::TimePs now = e.simulator().now();
+  e.InstallLinkEvent(now + sim::Us(1), uplink, /*up=*/false);
+  e.InstallLinkEvent(now + sim::Us(300), uplink, /*up=*/true);
+  e.RunUntil(now + sim::Us(1));
+  const std::vector<const net::Port*> rerouted = region.FlowPath(victim);
+  ASSERT_EQ(rerouted.size(), hops);
+  EXPECT_NE(rerouted[1], uplink_port);
+
+  const runner::ExperimentResult r = e.FinishRun();
+  reg.Finish(e.simulator().now());
+  EXPECT_EQ(reg.violation_count(), 0u) << reg.Summary();
+  EXPECT_EQ(r.flows_completed, r.flows_created);
+}
+
+// The trunk-down repro: a dumbbell whose only trunk dies at t = 1 us and
+// never returns. Fluid flows crossing it have no path, so they stall: no
+// fluid byte crosses the dead trunk and none of them completes, while the
+// flows that stay on one side finish — the same flows the packet twin of
+// this background completes.
+TEST(Hybrid, DeadTrunkCarriesNoFluidAndStallsCrossingFlows) {
+  auto config = [](bool fluid) {
+    runner::ExperimentConfig cfg;
+    cfg.topology = runner::TopologyKind::kDumbbell;
+    cfg.dumbbell.hosts_per_side = 4;
+    cfg.cc.scheme = "hpcc";
+    cfg.load = 0.6;
+    cfg.trace = "websearch";
+    cfg.max_flows = 36;
+    cfg.duration = sim::Ms(2);
+    cfg.seed = 7;
+    if (fluid) {
+      cfg.flow_class = workload::FlowClass::kFluid;
+      cfg.hybrid.enabled = true;
+    }
+    return cfg;
+  };
+  runner::Experiment e(config(true));
+  topo::Topology& t = e.topology();
+  const uint32_t left_sw = t.switches()[0];
+  ASSERT_EQ(t.links()[0].a, left_sw);  // link 0 is the trunk
+  e.InstallLinkEvent(sim::Us(1), 0, /*up=*/false);
+  const runner::ExperimentResult r = e.Run();
+  ASSERT_EQ(r.fluid_flows_created, 36u);
+
+  const topo::LinkSpec& trunk = t.links()[0];
+  const sim::TimePs now = e.simulator().now();
+  EXPECT_EQ(t.node(trunk.a).port(trunk.port_a).FluidTxAt(now), 0u);
+  EXPECT_EQ(t.node(trunk.b).port(trunk.port_b).FluidTxAt(now), 0u);
+
+  auto left = [&](uint32_t host) {
+    return t.node(host).port(0).peer()->id() == left_sw;
+  };
+  size_t crossing = 0;
+  size_t local = 0;
+  for (const auto& rec : e.fluid_region()->flows()) {
+    if (left(rec.src) != left(rec.dst)) {
+      ++crossing;
+      EXPECT_FALSE(rec.done) << "flow " << rec.id << " crossed a dead trunk";
+    } else {
+      ++local;
+      EXPECT_TRUE(rec.done) << "same-side flow " << rec.id;
+    }
+  }
+  EXPECT_GT(crossing, 0u);
+  EXPECT_EQ(r.fluid_flows_completed, local);
+
+  runner::Experiment packet(config(false));
+  packet.InstallLinkEvent(sim::Us(1), 0, /*up=*/false);
+  EXPECT_EQ(packet.Run().flows_completed, r.fluid_flows_completed);
+}
+
+// Per-tier spread of fabric load: max/mean of the bytes each switch-to-switch
+// directed link carried (real + fluid), by tier.
+std::map<std::string, double> TierImbalance(runner::Experiment& e) {
+  topo::Topology& t = e.topology();
+  const sim::TimePs now = e.simulator().now();
+  auto tier_of = [&](uint32_t node) {
+    const std::string& name = t.node(node).name();
+    return name.substr(0, name.find_first_of("0123456789_"));
+  };
+  std::map<std::string, std::vector<double>> bytes;
+  for (const topo::LinkSpec& l : t.links()) {
+    if (!t.node(l.a).IsSwitch() || !t.node(l.b).IsSwitch()) continue;
+    for (const bool a_to_b : {true, false}) {
+      const uint32_t from = a_to_b ? l.a : l.b;
+      const uint32_t to = a_to_b ? l.b : l.a;
+      const net::Port& p = t.node(from).port(a_to_b ? l.port_a : l.port_b);
+      bytes[tier_of(from) + "->" + tier_of(to)].push_back(
+          static_cast<double>(p.tx_bytes() + p.FluidTxAt(now)));
+    }
+  }
+  std::map<std::string, double> out;
+  for (const auto& [tier, v] : bytes) {
+    double sum = 0;
+    for (double b : v) sum += b;
+    const double mean = sum / static_cast<double>(v.size());
+    out[tier] = mean > 0 ? *std::max_element(v.begin(), v.end()) / mean : 0;
+  }
+  return out;
+}
+
+// The k=16 no-incast A/B of fabric utilization: K16IncastAbFctWithinTolerance's
+// fabric and background without the incast, carried once as packet flows
+// and once as fluid trajectories. Fluid flows hash onto the packets' ECMP
+// paths, so each fabric tier's imbalance (max/mean link bytes) must match
+// the packet run's. A fluid engine pinned to one shortest path piles each
+// ToR's flows onto its first agg and misses this band on every tier.
+TEST(Hybrid, K16FabricUtilizationSpreadMatchesPacketBackground) {
+  auto run = [](bool fluid) {
+    runner::ExperimentConfig cfg;
+    cfg.topology = runner::TopologyKind::kFatTree;  // 32 hosts
+    cfg.cc.scheme = "hpcc";
+    cfg.load = 0.3;
+    cfg.trace = "websearch";
+    cfg.max_flows = 300;
+    cfg.duration = sim::Ms(2);
+    cfg.seed = 11;
+    if (fluid) {
+      cfg.flow_class = workload::FlowClass::kFluid;
+      cfg.hybrid.enabled = true;
+    }
+    runner::Experiment e(cfg);
+    const runner::ExperimentResult r = e.Run();
+    EXPECT_EQ(r.flows_completed, r.flows_created);
+    return TierImbalance(e);
+  };
+  const std::map<std::string, double> packet = run(false);
+  const std::map<std::string, double> fluid = run(true);
+  ASSERT_EQ(packet.size(), 4u);  // tor->agg, agg->core, core->agg, agg->tor
+  for (const auto& [tier, p] : packet) {
+    const double f = fluid.at(tier);
+    std::cout << "[ spread   ] " << tier << ": packet max/mean " << p
+              << ", fluid " << f << "\n";
+    ASSERT_GT(p, 0.0);
+    EXPECT_GT(f / p, 0.8) << tier;
+    EXPECT_LT(f / p, 1.25) << tier;
+  }
 }
 
 }  // namespace

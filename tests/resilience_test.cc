@@ -65,11 +65,8 @@ TEST(Resilience, EcmpPortsStayValidAfterFailure) {
   const auto& l = t.links()[li];
   for (uint32_t sw : t.switches()) {
     for (uint32_t dst : t.hosts()) {
-      net::Packet probe;
-      probe.dst = dst;
       for (uint64_t flow = 1; flow <= 4; ++flow) {
-        probe.flow_id = flow;
-        const int port = t.switch_node(sw).RoutePort(probe);
+        const int port = t.switch_node(sw).RoutePort(flow, dst);
         ASSERT_GE(port, 0);
         // Never route over the dead link.
         const bool dead = (sw == l.a && port == l.port_a) ||

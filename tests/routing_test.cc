@@ -268,10 +268,9 @@ TEST(Routing, OutOfRangeDestinationIsCheckedDrop) {
   o.num_hosts = 2;
   auto star = MakeStar(&s, o);
   net::SwitchNode& sw = star.topo->switch_node(star.switch_id);
-  net::Packet probe;
-  probe.flow_id = 1;
-  probe.dst = 0xdeadbeef;  // corrupt destination, far past the node table
-  EXPECT_EQ(sw.RoutePort(probe), -1);  // used to be an assert-only OOB read
+  // A corrupt destination, far past the node table: used to be an
+  // assert-only OOB read.
+  EXPECT_EQ(sw.RoutePort(/*flow_id=*/1, /*dst=*/0xdeadbeef), -1);
 
   // End to end: the switch counts it as a drop instead of crashing or
   // forwarding garbage.

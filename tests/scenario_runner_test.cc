@@ -59,10 +59,7 @@ TEST(ScenarioEvents, LinkScriptRecomputesRoutesAndFlowsFinish) {
   e.RunUntil(sim::Us(300));
   EXPECT_FALSE(t.links()[0].up);
   EXPECT_LT(t.Distance(left_host, right_host), 0);
-  net::Packet probe;
-  probe.dst = right_host;
-  probe.flow_id = 1;
-  EXPECT_LT(t.switch_node(left_sw).RoutePort(probe), 0);
+  EXPECT_LT(t.switch_node(left_sw).RoutePort(1, right_host), 0);
   // Same-side routing is unaffected.
   EXPECT_EQ(t.Distance(left_host, e.hosts()[1]), 2);
   // The incast fired before the failure, so flows exist and are in flight.
@@ -73,7 +70,7 @@ TEST(ScenarioEvents, LinkScriptRecomputesRoutesAndFlowsFinish) {
   e.RunUntil(sim::Us(1000));
   EXPECT_TRUE(t.links()[0].up);
   EXPECT_EQ(t.Distance(left_host, right_host), 3);
-  EXPECT_GE(t.switch_node(left_sw).RoutePort(probe), 0);
+  EXPECT_GE(t.switch_node(left_sw).RoutePort(1, right_host), 0);
 
   // Flows stalled by the outage recover and finish.
   runner::ExperimentResult r = e.Run();

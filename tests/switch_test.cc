@@ -291,13 +291,10 @@ TEST(Switch, EcmpSpreadsFlowsAcrossEqualPaths) {
   sw.FinishSetup();
   // Many flows: both ports must be chosen at least once, and one flow must
   // always hash to the same port.
-  Packet probe;
-  probe.dst = 1;
   bool saw[2] = {false, false};
   for (uint64_t flow = 0; flow < 64; ++flow) {
-    probe.flow_id = flow;
-    const int p0 = sw.RoutePort(probe);
-    EXPECT_EQ(sw.RoutePort(probe), p0);
+    const int p0 = sw.RoutePort(flow, 1);
+    EXPECT_EQ(sw.RoutePort(flow, 1), p0);
     ASSERT_TRUE(p0 == 1 || p0 == 2);
     saw[p0 - 1] = true;
   }

@@ -173,11 +173,8 @@ TEST_P(FatTreeRouting, EcmpPortsAreShortestPaths) {
   Topology& t = *ft.topo;
   for (uint32_t sw : t.switches()) {
     for (uint32_t dst : t.hosts()) {
-      net::Packet probe;
-      probe.dst = dst;
       for (uint64_t flow = 1; flow <= 8; ++flow) {
-        probe.flow_id = flow;
-        const int port = t.switch_node(sw).RoutePort(probe);
+        const int port = t.switch_node(sw).RoutePort(flow, dst);
         ASSERT_GE(port, 0);
         net::Node* peer = t.switch_node(sw).port(port).peer();
         ASSERT_NE(peer, nullptr);
