@@ -1,7 +1,7 @@
 // Figure 1 (substitute): PFC pause propagation depth and suppressed
 // bandwidth. The paper's figure is production telemetry; we regenerate the
-// same two distributions from simulated incast-heavy DCQCN runs (see
-// DESIGN.md's substitution table).
+// same two distributions from simulated incast-heavy DCQCN runs (see the
+// notes in docs/PAPER_MAPPING.md).
 #include <algorithm>
 #include <cstdio>
 #include <map>

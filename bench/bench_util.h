@@ -1,6 +1,7 @@
-// Shared helpers for the per-figure bench binaries: a tiny flag parser and
-// common report formatting. Every bench runs a scaled-down instance by
-// default (documented in EXPERIMENTS.md) and accepts:
+// Shared helpers for the per-figure bench binaries that are not scenario
+// documents (examples/scenarios/paper/ holds those): a tiny flag parser and
+// a report header. Every bench runs a scaled-down instance by default
+// (docs/PAPER_MAPPING.md) and accepts:
 //   --full            paper-scale topology / duration
 //   --duration-ms=N   workload horizon
 //   --seed=N
@@ -50,20 +51,6 @@ inline void PrintHeader(const char* figure, const char* what) {
   std::printf("==============================================================\n");
 }
 
-// Standard per-run report: FCT slowdown table + queue/PFC summary.
-inline void PrintResult(const char* label,
-                        const runner::ExperimentResult& r) {
-  std::printf("--- %s ---\n", label);
-  std::printf("%s\n", r.Summary().c_str());
-  std::printf("%s", r.fct->FormatTable().c_str());
-  if (r.short_fct_us.Count() > 0) {
-    std::printf("  short-flow latency p50/p95/p99: %.1f / %.1f / %.1f us\n",
-                r.short_fct_us.Percentile(50), r.short_fct_us.Percentile(95),
-                r.short_fct_us.Percentile(99));
-  }
-  std::printf("\n");
-}
-
 // Mini fattree used by the simulation benches unless --full.
 inline topo::FatTreeOptions BenchFatTree(bool full) {
   if (full) return topo::FatTreeOptions::PaperScale();
@@ -73,12 +60,6 @@ inline topo::FatTreeOptions BenchFatTree(bool full) {
   o.aggs_per_pod = 2;
   o.cores_per_agg = 2;
   o.hosts_per_tor = 4;  // 16 hosts
-  return o;
-}
-
-inline topo::TestbedOptions BenchTestbed(bool full) {
-  topo::TestbedOptions o;  // paper scale is already small (32 hosts)
-  if (!full) o.servers_per_pair = 8;  // 16 hosts for quick runs
   return o;
 }
 

@@ -282,6 +282,28 @@ Json GenerateScenarioDoc(uint64_t seed, int index, bool faults,
     doc.Set("workload", std::move(workload));
     if (trace_csv != nullptr) *trace_csv = workload::FormatFlowTrace(rows);
   }
+  // DCQCN rate timers (dcqcn schemes) and WRED threshold overrides (any
+  // scheme). Drawn last, so a document that takes neither branch is
+  // byte-identical to the historical one.
+  const std::string scheme = doc.Find("cc")->Find("scheme")->AsString();
+  if (scheme.rfind("dcqcn", 0) == 0 && rng.Uniform() < 0.3) {
+    Json timers = Json::MakeObject();
+    timers.Set("rate_inc_timer_us",
+               Num(5 + static_cast<double>(rng.Index(896))));
+    timers.Set("min_dec_interval_us",
+               Num(1 + static_cast<double>(rng.Index(100))));
+    Json cc_dcqcn = *doc.Find("cc");
+    cc_dcqcn.Set("dcqcn", std::move(timers));
+    doc.Set("cc", std::move(cc_dcqcn));
+  }
+  if (rng.Uniform() < 0.2) {
+    const double kmin_kb = static_cast<double>(rng.Index(401));
+    Json ecn = Json::MakeObject();
+    ecn.Set("kmin_kb", Num(kmin_kb));
+    ecn.Set("kmax_kb",
+            Num(kmin_kb + 1 + static_cast<double>(rng.Index(1200))));
+    doc.Set("ecn", std::move(ecn));
+  }
   if (events.size() > 0) doc.Set("events", std::move(events));
   return doc;
 }

@@ -145,23 +145,50 @@ scenario::Json BuildManifest(const ManifestInputs& in) {
   }
   m.Set("counters", counters);
 
-  // -- CSV-mirror metrics -------------------------------------------------
+  // -- metrics: the CSV columns plus the paper figures' readout ----------
   {
     scenario::Json metrics = scenario::Json::MakeObject();
     const stats::PercentileTracker& slow = res.fct->overall();
     metrics.Set("slowdown_p50", NumOrNull(slow.Percentile(50)));
     metrics.Set("slowdown_p95", NumOrNull(slow.Percentile(95)));
     metrics.Set("slowdown_p99", NumOrNull(slow.Percentile(99)));
+    metrics.Set("short_fct_p50_us",
+                NumOrNull(res.short_fct_us.Percentile(50)));
     metrics.Set("short_fct_p95_us",
                 NumOrNull(res.short_fct_us.Percentile(95)));
+    metrics.Set("short_fct_p99_us",
+                NumOrNull(res.short_fct_us.Percentile(99)));
     metrics.Set("queue_p50_kb",
                 NumOrNull(res.queue_dist.Percentile(50) / 1e3));
+    metrics.Set("queue_p90_kb",
+                NumOrNull(res.queue_dist.Percentile(90) / 1e3));
+    metrics.Set("queue_p95_kb",
+                NumOrNull(res.queue_dist.Percentile(95) / 1e3));
     metrics.Set("queue_p99_kb",
                 NumOrNull(res.queue_dist.Percentile(99) / 1e3));
     metrics.Set("queue_max_kb",
                 Num(static_cast<double>(res.max_queue_bytes) / 1e3));
+    metrics.Set("pfc_pause_p95_us",
+                NumOrNull(res.pause_durations_us.Percentile(95)));
     metrics.Set("sim_time_ms", Num(sim::ToMs(res.sim_time)));
     metrics.Set("base_rtt_us", Num(sim::ToUs(res.base_rtt)));
+    // FCT slowdown per flow-size bin (the x-axis of Figs. 2/3/10/11/12):
+    // upper edge in bytes (null for the open last bin), flow count and the
+    // p50/p95/p99 slowdown (null for an empty bin).
+    scenario::Json bins = scenario::Json::MakeArray();
+    const std::vector<uint64_t>& edges = res.fct->bin_edges();
+    for (size_t i = 0; i < res.fct->num_bins(); ++i) {
+      const stats::PercentileTracker& b = res.fct->bin(i);
+      scenario::Json bin = scenario::Json::MakeObject();
+      bin.Set("upper_bytes",
+              i < edges.size() ? NumU(edges[i]) : scenario::Json());
+      bin.Set("count", NumU(b.Count()));
+      bin.Set("slowdown_p50", NumOrNull(b.Percentile(50)));
+      bin.Set("slowdown_p95", NumOrNull(b.Percentile(95)));
+      bin.Set("slowdown_p99", NumOrNull(b.Percentile(99)));
+      bins.Append(std::move(bin));
+    }
+    metrics.Set("fct_bins", std::move(bins));
     m.Set("metrics", metrics);
   }
 

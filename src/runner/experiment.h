@@ -1,6 +1,7 @@
 // Experiment harness: wires a topology, a CC scheme, workload generators and
-// monitors into one runnable unit. Every bench binary (one per paper figure)
-// and example builds on this.
+// monitors into one runnable unit. The scenario runner (scenario_main, the
+// paper-figure documents), the remaining figure benches and the examples all
+// build on this.
 #pragma once
 
 #include <chrono>

@@ -780,11 +780,9 @@ bool ScenarioRunner::WriteCsv(const std::string& path,
   return stats::WriteTableCsv(path, CsvHeader(results), rows);
 }
 
-int RunScenarioFile(const std::string& path,
-                    const ScenarioRunnerOptions& options,
-                    const std::string& out_override) {
+int RunScenario(const Scenario& sc, const ScenarioRunnerOptions& options,
+                const std::string& out_override) {
   try {
-    const Scenario sc = LoadScenarioFile(path);
     const std::vector<ScenarioRun> runs = ExpandSweep(sc);
     std::printf("scenario %s: %zu run(s), %zu event(s)\n", sc.name.c_str(),
                 runs.size(), sc.events.size());

@@ -120,7 +120,7 @@ struct ScenarioRunnerOptions {
   // Live sweep progress line on stderr (jobs done/total, events/s, ETA).
   bool progress = false;
   // Base path for derived telemetry files (usually the CSV path minus
-  // ".csv"; RunScenarioFile fills it). Empty = only write files whose path
+  // ".csv"; RunScenario fills it). Empty = only write files whose path
   // is explicit (trace_out).
   std::string out_base;
   // Warm-start sweeps (`--warm=off` clears it): share one fabric snapshot
@@ -210,7 +210,7 @@ class ScenarioRunner {
   static bool WriteCsv(const std::string& path,
                        const std::vector<SweepRunResult>& results);
 
-  // The CLI tail of scenario_main (via RunScenarioFile): prints one
+  // The CLI tail of scenario_main (via RunScenario): prints one
   // summary line per point, writes the aggregated CSV, and returns a process
   // exit code — 0 when every point succeeded and the CSV was written.
   static int ReportAndWriteCsv(const std::vector<SweepRunResult>& results,
@@ -250,11 +250,10 @@ class ScenarioRunner {
   ScenarioRunnerOptions options_;
 };
 
-// The whole CLI flow of `scenario_main FILE`: load, expand, run, report,
+// The CLI flow of `scenario_main FILE` after loading: expand, run, report,
 // write the CSV (to `out_override`, or "<scenario name>.csv" when empty).
 // Catches and prints scenario/runtime errors; returns the process exit code.
-int RunScenarioFile(const std::string& path,
-                    const ScenarioRunnerOptions& options,
-                    const std::string& out_override);
+int RunScenario(const Scenario& sc, const ScenarioRunnerOptions& options,
+                const std::string& out_override);
 
 }  // namespace hpcc::scenario

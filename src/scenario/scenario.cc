@@ -191,10 +191,29 @@ void ParseTopology(const Json& t, runner::ExperimentConfig* cfg) {
   }
 }
 
+// "cc.dcqcn": DCQCN's rate-increase timer Ti and minimum decrease interval
+// Td (Fig. 2's sweep). Read by the dcqcn schemes, ignored by the others —
+// like "eta" for hpcc.
+void ParseDcqcn(const Json& d, cc::DcqcnParams* p) {
+  if (!d.is_object()) throw ScenarioError("cc.dcqcn must be an object");
+  CheckKeys(d, "cc.dcqcn", {"rate_inc_timer_us", "min_dec_interval_us"});
+  p->rate_inc_timer =
+      UsToPs(PositiveNum(d, "rate_inc_timer_us", PsToUs(p->rate_inc_timer),
+                         "cc.dcqcn"),
+             "cc.dcqcn.rate_inc_timer_us");
+  p->min_dec_interval =
+      UsToPs(PositiveNum(d, "min_dec_interval_us",
+                         PsToUs(p->min_dec_interval), "cc.dcqcn"),
+             "cc.dcqcn.min_dec_interval_us");
+  if (p->rate_inc_timer <= 0 || p->min_dec_interval <= 0) {
+    throw ScenarioError("cc.dcqcn timers must be at least 1 ps");
+  }
+}
+
 void ParseCc(const Json& c, runner::ExperimentConfig* cfg) {
   CheckKeys(c, "cc",
             {"scheme", "eta", "wai_bytes", "max_stage", "expected_flows",
-             "alpha_fair"});
+             "alpha_fair", "dcqcn"});
   cfg->cc.scheme = StrOr(c, "scheme", cfg->cc.scheme);
   if (cfg->cc.scheme.empty()) throw ScenarioError("cc.scheme must be set");
   cfg->cc.hpcc.eta = PositiveNum(c, "eta", cfg->cc.hpcc.eta, "cc");
@@ -204,6 +223,20 @@ void ParseCc(const Json& c, runner::ExperimentConfig* cfg) {
   cfg->cc.hpcc.expected_flows =
       PositiveInt(c, "expected_flows", cfg->cc.hpcc.expected_flows, "cc");
   cfg->cc.alpha_fair = PositiveNum(c, "alpha_fair", cfg->cc.alpha_fair, "cc");
+  if (const Json* d = c.Find("dcqcn")) ParseDcqcn(*d, &cfg->cc.dcqcn);
+}
+
+// "ecn": WRED marking thresholds at the 25 Gbps reference, overriding the
+// scheme's own (Fig. 3's Kmin/Kmax sweep).
+net::RedConfig ParseEcn(const Json& e) {
+  if (!e.is_object()) throw ScenarioError("ecn must be an object");
+  CheckKeys(e, "ecn", {"kmin_kb", "kmax_kb"});
+  const double kmin = Require(e, "kmin_kb", "ecn").AsDouble();
+  const double kmax = Require(e, "kmax_kb", "ecn").AsDouble();
+  if (!(kmin >= 0 && kmin < kmax && kmax < 1e9)) {
+    throw ScenarioError("ecn needs 0 <= kmin_kb < kmax_kb < 1e9");
+  }
+  return net::RedConfig::Dcqcn(kmin, kmax);
 }
 
 // "flow_class": "packet" (default) | "fluid" — which transport engine the
@@ -426,8 +459,8 @@ Scenario ParseScenario(const Json& doc) {
             {"name", "description", "topology", "cc", "workload",
              "duration_ms", "drain_factor", "seed", "shards", "pfc",
              "fastpath", "recovery", "int_sample_every", "short_flow_bytes",
-             "telemetry", "warm_start", "deadline_s", "hybrid", "events",
-             "sweep"});
+             "ecn", "telemetry", "warm_start", "deadline_s", "hybrid",
+             "events", "sweep"});
 
   Scenario s;
   s.source = doc;
@@ -484,6 +517,7 @@ Scenario ParseScenario(const Json& doc) {
                                         s.config.short_flow_bytes));
   if (short_bytes < 0) throw ScenarioError("short_flow_bytes must be >= 0");
   s.config.short_flow_bytes = static_cast<uint64_t>(short_bytes);
+  if (const Json* e = doc.Find("ecn")) s.config.red_override = ParseEcn(*e);
 
   if (const Json* t = doc.Find("telemetry")) {
     if (!t->is_object()) throw ScenarioError("telemetry must be an object");
@@ -558,7 +592,28 @@ Scenario ParseScenarioText(const std::string& text) {
   return ParseScenario(Json::Parse(text));
 }
 
-Scenario LoadScenarioFile(const std::string& path) {
+void ApplySet(Json& doc, const std::string& assignment) {
+  const size_t eq = assignment.find('=');
+  if (eq == std::string::npos || eq == 0) {
+    throw ScenarioError("--set expects path=value, got \"" + assignment +
+                        "\"");
+  }
+  const std::string text = assignment.substr(eq + 1);
+  Json value;
+  try {
+    value = Json::Parse(text);
+  } catch (const JsonError&) {
+    value = Json::MakeString(text);
+  }
+  try {
+    doc.SetPath(assignment.substr(0, eq), std::move(value));
+  } catch (const JsonError& e) {
+    throw ScenarioError("--set " + assignment + ": " + e.what());
+  }
+}
+
+Scenario LoadScenarioFile(const std::string& path,
+                          const std::vector<std::string>& sets) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     throw ScenarioError("cannot open scenario file: " + path);
@@ -577,7 +632,9 @@ Scenario LoadScenarioFile(const std::string& path) {
     throw ScenarioError("read error on scenario file: " + path);
   }
   try {
-    return ParseScenarioText(text);
+    Json doc = Json::Parse(text);
+    for (const std::string& set : sets) ApplySet(doc, set);
+    return ParseScenario(doc);
   } catch (const std::runtime_error& e) {
     throw ScenarioError(path + ": " + e.what());
   }
@@ -721,6 +778,17 @@ Json ScenarioToJson(const Scenario& s) {
   c.Set("max_stage", Json::MakeNumber(cfg.cc.hpcc.max_stage));
   c.Set("expected_flows", Json::MakeNumber(cfg.cc.hpcc.expected_flows));
   c.Set("alpha_fair", Json::MakeNumber(cfg.cc.alpha_fair));
+  // Default-elided so documents without DCQCN timers round-trip unchanged.
+  const cc::DcqcnParams dcqcn_defaults;
+  if (cfg.cc.dcqcn.rate_inc_timer != dcqcn_defaults.rate_inc_timer ||
+      cfg.cc.dcqcn.min_dec_interval != dcqcn_defaults.min_dec_interval) {
+    Json d = Json::MakeObject();
+    d.Set("rate_inc_timer_us",
+          Json::MakeNumber(PsToUs(cfg.cc.dcqcn.rate_inc_timer)));
+    d.Set("min_dec_interval_us",
+          Json::MakeNumber(PsToUs(cfg.cc.dcqcn.min_dec_interval)));
+    c.Set("dcqcn", std::move(d));
+  }
   doc.Set("cc", std::move(c));
 
   Json w = Json::MakeObject();
@@ -751,6 +819,12 @@ Json ScenarioToJson(const Scenario& s) {
   doc.Set("int_sample_every", Json::MakeNumber(cfg.int_sample_every));
   doc.Set("short_flow_bytes",
           Json::MakeNumber(static_cast<double>(cfg.short_flow_bytes)));
+  if (cfg.red_override) {
+    Json e = Json::MakeObject();
+    e.Set("kmin_kb", Json::MakeNumber(cfg.red_override->kmin_bytes / 1000));
+    e.Set("kmax_kb", Json::MakeNumber(cfg.red_override->kmax_bytes / 1000));
+    doc.Set("ecn", std::move(e));
+  }
 
   // Like "events": emitted only when it says something (non-default), so
   // telemetry-free documents round-trip unchanged.

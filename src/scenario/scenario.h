@@ -111,7 +111,19 @@ struct Scenario {
 Scenario ParseScenario(const Json& doc);
 Scenario ParseScenarioText(const std::string& text);
 // Reads, parses and validates a scenario file. Throws on I/O failure too.
-Scenario LoadScenarioFile(const std::string& path);
+// `sets` are "path=value" overrides (see ApplySet), applied in order to the
+// document before validation and sweep expansion.
+Scenario LoadScenarioFile(const std::string& path,
+                          const std::vector<std::string>& sets = {});
+
+// Patches one "dotted.path=value" override into a scenario document through
+// Json::SetPath (scenario_main --set). The value is parsed as JSON — 0.5 is
+// a number, {...} an object — and text that does not parse is taken as a
+// string, so cc.scheme=dcqcn needs no quotes. The patched document is
+// validated like any other: an unknown path fails as a typo would, and a
+// swept key keeps its sweep values. Throws ScenarioError when the "=" is
+// missing or the path cannot be patched.
+void ApplySet(Json& doc, const std::string& assignment);
 
 // Canonical document for a parsed scenario: every recognized field with its
 // resolved value. ParseScenario(ScenarioToJson(s)) is a fixed point, which

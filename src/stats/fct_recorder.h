@@ -35,6 +35,7 @@ class FctRecorder {
   }
 
   size_t num_bins() const { return bins_.size(); }
+  const std::vector<uint64_t>& bin_edges() const { return edges_; }
   std::string BinLabel(size_t bin) const;
   const PercentileTracker& bin(size_t i) const { return bins_[i]; }
   const PercentileTracker& overall() const { return overall_; }

@@ -3,7 +3,12 @@
 // expansion, and a full-scenario JSON round trip.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
 #include "scenario/json.h"
+#include "scenario/runner.h"
 #include "scenario/scenario.h"
 
 namespace hpcc::scenario {
@@ -385,6 +390,171 @@ TEST(Scenario, JsonRoundTripIsAFixedPoint) {
   EXPECT_EQ(s2.sweep[0].values.size(), 4u);
   // The round-tripped document still expands.
   EXPECT_EQ(ExpandSweep(s2).size(), 4u);
+}
+
+TEST(Scenario, DcqcnTimersAndEcnThresholds) {
+  const Scenario s = ParseScenarioText(R"({
+    "topology": {"kind": "star", "hosts": 4},
+    "cc": {"scheme": "dcqcn",
+           "dcqcn": {"rate_inc_timer_us": 300, "min_dec_interval_us": 50}},
+    "ecn": {"kmin_kb": 12, "kmax_kb": 50}
+  })");
+  EXPECT_EQ(s.config.cc.dcqcn.rate_inc_timer, sim::Us(300));
+  EXPECT_EQ(s.config.cc.dcqcn.min_dec_interval, sim::Us(50));
+  ASSERT_TRUE(s.config.red_override.has_value());
+  EXPECT_TRUE(s.config.red_override->enabled);
+  EXPECT_DOUBLE_EQ(s.config.red_override->kmin_bytes, 12'000);
+  EXPECT_DOUBLE_EQ(s.config.red_override->kmax_bytes, 50'000);
+  // Both blocks echo and round-trip.
+  const Json d = ScenarioToJson(s);
+  EXPECT_EQ(d.Get("cc").Get("dcqcn").Dump(),
+            R"({"rate_inc_timer_us":300,"min_dec_interval_us":50})");
+  EXPECT_EQ(d.Get("ecn").Dump(), R"({"kmin_kb":12,"kmax_kb":50})");
+  EXPECT_EQ(ScenarioToJson(ParseScenario(d)).Dump(), d.Dump());
+
+  // Documents that use neither keep their historical echo: no new keys.
+  const Json plain = ScenarioToJson(ParseScenarioText(kMinimal));
+  EXPECT_EQ(plain.Get("cc").Find("dcqcn"), nullptr);
+  EXPECT_EQ(plain.Find("ecn"), nullptr);
+
+  const char* bad[] = {
+      R"("cc": {"dcqcn": {"rate_inc_timer_us": 0}})",
+      R"("cc": {"dcqcn": {"min_dec_interval_us": -4}})",
+      R"("cc": {"dcqcn": {"rate_inc_timer_us": 1e-9}})",
+      R"("cc": {"dcqcn": {"ti_us": 55}})",
+      R"("cc": {"dcqcn": 55})",
+      R"("ecn": {"kmin_kb": 50, "kmax_kb": 12})",
+      R"("ecn": {"kmin_kb": 50, "kmax_kb": 50})",
+      R"("ecn": {"kmin_kb": -1, "kmax_kb": 12})",
+      R"("ecn": {"kmin_kb": 1})",
+      R"("ecn": {"kmin_kb": 1, "kmax_kb": 4, "pmax": 1})",
+  };
+  const std::string head = R"({"topology": {"kind": "star", "hosts": 3},)";
+  for (const char* fragment : bad) {
+    SCOPED_TRACE(fragment);
+    EXPECT_THROW(ParseScenarioText(head + fragment + "}"), ScenarioError);
+  }
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(Scenario, ObjectValuedSweepAxesPatchWhole) {
+  const Scenario s = ParseScenarioText(R"({
+    "name": "obj",
+    "topology": {"kind": "star", "hosts": 4},
+    "cc": {"scheme": "timely", "eta": 0.8},
+    "sweep": {"cc": [{"scheme": "hpcc", "eta": 0.9}, {"scheme": "dcqcn"}]}
+  })");
+  const std::vector<ScenarioRun> runs = ExpandSweep(s);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].label, R"(obj[cc={"scheme":"hpcc","eta":0.9}])");
+  EXPECT_EQ(runs[1].label, R"(obj[cc={"scheme":"dcqcn"}])");
+  EXPECT_EQ(runs[0].scenario.config.cc.scheme, "hpcc");
+  EXPECT_DOUBLE_EQ(runs[0].scenario.config.cc.hpcc.eta, 0.9);
+  // The whole object replaces the base "cc": eta falls back to its default
+  // rather than keeping the base document's 0.8.
+  EXPECT_EQ(runs[1].scenario.config.cc.scheme, "dcqcn");
+  EXPECT_DOUBLE_EQ(runs[1].scenario.config.cc.hpcc.eta,
+                   core::HpccParams{}.eta);
+
+  // The axis cell holds commas and quotes: the raw cell is the compact
+  // JSON, and the CSV file quotes it per RFC 4180 (quotes doubled).
+  std::vector<SweepRunResult> results(runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    results[i].label = runs[i].label;
+    results[i].params = runs[i].params;
+    results[i].error = "not run";
+  }
+  const std::vector<std::string> header = ScenarioRunner::CsvHeader(results);
+  ASSERT_GE(header.size(), 2u);
+  EXPECT_EQ(header[1], "cc");
+  const std::vector<std::string> row = ScenarioRunner::CsvRow(results[0]);
+  ASSERT_EQ(row.size(), header.size());
+  EXPECT_EQ(row[1], R"({"scheme":"hpcc","eta":0.9})");
+  const std::string csv = "object_axis_tmp.csv";
+  ASSERT_TRUE(ScenarioRunner::WriteCsv(csv, results));
+  const std::string text = ReadAll(csv);
+  std::remove(csv.c_str());
+  EXPECT_NE(text.find(R"("obj[cc={""scheme"":""hpcc"",""eta"":0.9}]",)"
+                      R"("{""scheme"":""hpcc"",""eta"":0.9}",)"),
+            std::string::npos)
+      << text;
+
+  // --dump round trip: the canonical document keeps the object values and
+  // expands to the same points.
+  const Json dumped = ScenarioToJson(s);
+  EXPECT_EQ(dumped.Get("sweep").Dump(),
+            R"({"cc":[{"scheme":"hpcc","eta":0.9},{"scheme":"dcqcn"}]})");
+  const std::vector<ScenarioRun> again = ExpandSweep(ParseScenario(dumped));
+  ASSERT_EQ(again.size(), runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(again[i].label, runs[i].label);
+    EXPECT_EQ(ScenarioToJson(again[i].scenario).Dump(),
+              ScenarioToJson(runs[i].scenario).Dump());
+  }
+}
+
+TEST(Scenario, ApplySetTypesTheValue) {
+  Json doc = Json::Parse(kMinimal);
+  ApplySet(doc, "workload.load=0.5");
+  ApplySet(doc, "cc.scheme=dcqcn");
+  ApplySet(doc, R"(cc.dcqcn={"rate_inc_timer_us": 300})");
+  ApplySet(doc, "pfc=false");
+  ApplySet(doc, "description=a=b");  // only the first '=' splits
+  EXPECT_TRUE(doc.Get("workload").Get("load").is_number());
+  EXPECT_TRUE(doc.Get("cc").Get("scheme").is_string());
+  EXPECT_TRUE(doc.Get("cc").Get("dcqcn").is_object());
+  EXPECT_EQ(doc.Get("description").AsString(), "a=b");
+  const Scenario s = ParseScenario(doc);
+  EXPECT_DOUBLE_EQ(s.config.load, 0.5);
+  EXPECT_EQ(s.config.cc.scheme, "dcqcn");
+  EXPECT_EQ(s.config.cc.dcqcn.rate_inc_timer, sim::Us(300));
+  EXPECT_FALSE(s.config.pfc_enabled);
+}
+
+TEST(Scenario, ApplySetKeepsSweepValuesAndValidates) {
+  Json doc = Json::Parse(R"({
+    "name": "g",
+    "topology": {"kind": "star", "hosts": 4},
+    "sweep": {"cc.scheme": ["hpcc", "dcqcn"]}
+  })");
+  // A swept key keeps its sweep values: the override only sets the base.
+  ApplySet(doc, "cc.scheme=timely");
+  const std::vector<ScenarioRun> runs = ExpandSweep(ParseScenario(doc));
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].scenario.config.cc.scheme, "hpcc");
+  EXPECT_EQ(runs[1].scenario.config.cc.scheme, "dcqcn");
+
+  // An unknown path is caught by validation, exactly like a typo.
+  Json typo = Json::Parse(kMinimal);
+  ApplySet(typo, "cc.etta=0.5");
+  EXPECT_THROW(ParseScenario(typo), ScenarioError);
+  // A value of the wrong type fails the same way.
+  Json wrong = Json::Parse(kMinimal);
+  ApplySet(wrong, "duration_ms=ten");
+  EXPECT_THROW(ParseScenario(wrong), JsonError);
+
+  // Without '=' (or a path) there is nothing to apply.
+  Json any = Json::Parse(kMinimal);
+  EXPECT_THROW(ApplySet(any, "duration_ms"), ScenarioError);
+  EXPECT_THROW(ApplySet(any, "=5"), ScenarioError);
+  EXPECT_THROW(ApplySet(any, "topology.kind.x=1"), ScenarioError);
+
+  // LoadScenarioFile applies the overrides before validation.
+  const std::string path = "apply_set_tmp.json";
+  {
+    std::ofstream out(path);
+    out << kMinimal;
+  }
+  EXPECT_EQ(LoadScenarioFile(path, {"duration_ms=3"}).config.duration,
+            sim::Ms(3));
+  EXPECT_THROW(LoadScenarioFile(path, {"cc.etta=0.5"}), ScenarioError);
+  std::remove(path.c_str());
 }
 
 TEST(Scenario, LoadScenarioFileReportsMissingFile) {

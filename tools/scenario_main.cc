@@ -8,10 +8,12 @@
 //   scenario_main examples/scenarios/fig11_load_sweep.json --jobs=4
 //   scenario_main sweep.json --expand            # list points, don't run
 //   scenario_main sweep.json --out=results.csv --quiet
+//   scenario_main examples/scenarios/paper/fig10.json --set duration_ms=20
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "scenario/runner.h"
 #include "tools/cli_util.h"
@@ -22,6 +24,7 @@ namespace {
 
 struct Options {
   std::string file;
+  std::vector<std::string> sets;  // --set path=value, in order
   std::string out;  // empty = "<scenario name>.csv"
   std::string trace_out;  // non-empty forces trace export to this path
   int jobs = 0;     // 0 = hardware concurrency
@@ -43,6 +46,11 @@ struct Options {
                "usage: %s FILE [options]\n"
                "  --jobs=N     parallel sweep workers (default: hardware)\n"
                "  --out=PATH   aggregated CSV path (default: <name>.csv)\n"
+               "  --set PATH=VALUE\n"
+               "               patch the scenario document before validation\n"
+               "               and sweep expansion (repeatable; VALUE is\n"
+               "               JSON, else a string: --set cc.scheme=dcqcn,\n"
+               "               --set duration_ms=20)\n"
                "  --expand     print the expanded sweep points and exit\n"
                "  --dump       print the canonicalized scenario JSON and exit\n"
                "  --check      run every point under the invariant monitors\n"
@@ -82,6 +90,12 @@ Options Parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
     if (cli::ConsumeFlag(argv[i], "--jobs", &v)) o.jobs = std::atoi(v);
+    else if (std::strcmp(argv[i], "--set") == 0) {
+      // PATH=VALUE with a non-empty PATH (scenario::ApplySet's contract).
+      const char* eq = i + 1 < argc ? std::strchr(argv[i + 1], '=') : nullptr;
+      if (eq == nullptr || eq == argv[i + 1]) Usage(argv[0]);
+      o.sets.emplace_back(argv[++i]);
+    }
     else if (cli::ConsumeFlag(argv[i], "--out", &v)) o.out = v;
     else if (cli::ConsumeFlag(argv[i], "--fastpath", &v)) {
       if (std::strcmp(v, "on") == 0) o.fastpath = 1;
@@ -121,21 +135,22 @@ Options Parse(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   const Options o = Parse(argc, argv);
-  if (o.dump || o.expand_only) {
-    try {
-      const scenario::Scenario sc = scenario::LoadScenarioFile(o.file);
-      if (o.dump) {
-        std::printf("%s\n", scenario::ScenarioToJson(sc).Dump(2).c_str());
-        return 0;
-      }
+  scenario::Scenario sc;
+  try {
+    sc = scenario::LoadScenarioFile(o.file, o.sets);
+    if (o.dump) {
+      std::printf("%s\n", scenario::ScenarioToJson(sc).Dump(2).c_str());
+      return 0;
+    }
+    if (o.expand_only) {
       const auto runs = scenario::ExpandSweep(sc);
       for (const auto& run : runs) std::printf("%s\n", run.label.c_str());
       std::printf("%zu run(s)\n", runs.size());
       return 0;
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "error: %s\n", ex.what());
-      return 1;
     }
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "error: %s\n", ex.what());
+    return 1;
   }
 
   scenario::ScenarioRunnerOptions ro;
@@ -150,5 +165,5 @@ int main(int argc, char** argv) {
   ro.warm = o.warm;
   ro.deadline_s = o.deadline;
   ro.resume = o.resume;
-  return scenario::RunScenarioFile(o.file, ro, o.out);
+  return scenario::RunScenario(sc, ro, o.out);
 }
