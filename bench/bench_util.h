@@ -1,7 +1,8 @@
-// Shared helpers for the per-figure bench binaries that are not scenario
-// documents (examples/scenarios/paper/ holds those): a tiny flag parser and
-// a report header. Every bench runs a scaled-down instance by default
-// (docs/PAPER_MAPPING.md) and accepts:
+// Shared helpers for the two figure programs that are not scenario
+// documents (examples/scenarios/paper/ holds the rest): bench_fig1, whose
+// PFC-depth analysis needs Topology::Distance, and bench_appendix_analytic,
+// which runs no simulation. A tiny flag parser and a report header. Both
+// run a scaled-down instance by default (docs/PAPER_MAPPING.md) and accept:
 //   --full            paper-scale topology / duration
 //   --duration-ms=N   workload horizon
 //   --seed=N
@@ -33,8 +34,6 @@ inline Flags ParseFlags(int argc, char** argv) {
       f.duration_ms = std::atof(arg.c_str() + 14);
     } else if (arg.rfind("--seed=", 0) == 0) {
       f.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--benchmark", 0) == 0) {
-      // Tolerate google-benchmark style flags when the runner sweeps bench/.
     } else {
       std::fprintf(stderr,
                    "usage: %s [--full] [--duration-ms=N] [--seed=N]\n",
@@ -51,7 +50,7 @@ inline void PrintHeader(const char* figure, const char* what) {
   std::printf("==============================================================\n");
 }
 
-// Mini fattree used by the simulation benches unless --full.
+// Mini fattree bench_fig1 runs unless --full.
 inline topo::FatTreeOptions BenchFatTree(bool full) {
   if (full) return topo::FatTreeOptions::PaperScale();
   topo::FatTreeOptions o;

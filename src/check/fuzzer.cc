@@ -304,6 +304,33 @@ Json GenerateScenarioDoc(uint64_t seed, int index, bool faults,
             Num(kmin_kb + 1 + static_cast<double>(rng.Index(1200))));
     doc.Set("ecn", std::move(ecn));
   }
+  // 15%: static flows (workload.flows) on top of everything else. Drawn
+  // last, so a document that does not take the branch is byte-identical to
+  // the historical one.
+  if (rng.Uniform() < 0.15 && num_hosts >= 2) {
+    std::vector<workload::TraceRecord> rows(1 + rng.Index(6));
+    std::vector<double> starts_us;
+    for (workload::TraceRecord& r : rows) {
+      starts_us.push_back(Round2(rng.Uniform() * duration_us * 0.8));
+      const std::vector<size_t> pair = rng.SampleDistinct(2, num_hosts);
+      r.src = static_cast<uint32_t>(pair[0]);
+      r.dst = static_cast<uint32_t>(pair[1]);
+      r.bytes = 1000 * (1 + rng.Index(200));
+    }
+    std::sort(starts_us.begin(), starts_us.end());
+    Json flows = Json::MakeArray();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      Json row = Json::MakeObject();
+      row.Set("start_us", Num(starts_us[i]));
+      row.Set("src", Num(rows[i].src));
+      row.Set("dst", Num(rows[i].dst));
+      row.Set("bytes", Num(static_cast<double>(rows[i].bytes)));
+      flows.Append(std::move(row));
+    }
+    Json workload = *doc.Find("workload");
+    workload.Set("flows", std::move(flows));
+    doc.Set("workload", std::move(workload));
+  }
   if (events.size() > 0) doc.Set("events", std::move(events));
   return doc;
 }

@@ -91,9 +91,10 @@ struct FuzzRunReport {
 // The index-th scenario document for `seed`; pure and deterministic (a
 // function of (seed, index, faults) only). `faults` appends the chaos-mode
 // fault events described at FuzzOptions::faults. Some documents run the
-// hybrid fluid engine, and some replay a generated flow trace: those name
-// `workload.trace_file` as "<name>.trace.csv" and return the file's
-// contents through `trace_csv` (when non-null) for the caller to write.
+// hybrid fluid engine, some carry static flows (`workload.flows`), and some
+// replay a generated flow trace: those name `workload.trace_file` as
+// "<name>.trace.csv" and return the file's contents through `trace_csv`
+// (when non-null) for the caller to write.
 scenario::Json GenerateScenarioDoc(uint64_t seed, int index,
                                    bool faults = false,
                                    std::string* trace_csv = nullptr);

@@ -33,7 +33,87 @@ std::string HashHex(uint64_t h) {
   return buf;
 }
 
+scenario::Json Times(const stats::TimeSeries& s) {
+  scenario::Json a = scenario::Json::MakeArray();
+  for (const auto& [t, v] : s.points()) a.Append(Num(sim::ToUs(t)));
+  return a;
+}
+
+scenario::Json Values(const stats::TimeSeries& s) {
+  scenario::Json a = scenario::Json::MakeArray();
+  for (const auto& [t, v] : s.points()) a.Append(Num(v));
+  return a;
+}
+
+scenario::Json WindowStats(const stats::PercentileTracker& w) {
+  scenario::Json o = scenario::Json::MakeObject();
+  o.Set("samples", NumU(w.Count()));
+  o.Set("max", NumOrNull(w.Max()));
+  o.Set("mean", NumOrNull(w.Mean()));
+  o.Set("p50", NumOrNull(w.Percentile(50)));
+  o.Set("p95", NumOrNull(w.Percentile(95)));
+  o.Set("p99", NumOrNull(w.Percentile(99)));
+  return o;
+}
+
 }  // namespace
+
+scenario::Json SeriesToJson(const SeriesConfig& config,
+                            const std::vector<stats::TimeSeries>& queues,
+                            const std::vector<stats::TimeSeries>& flows,
+                            const stats::TimeSeries& aggregate) {
+  scenario::Json out = scenario::Json::MakeObject();
+  if (!queues.empty()) {
+    // Every queue series is sampled on the same ticks.
+    out.Set("queue_t_us", Times(queues.front()));
+    scenario::Json qs = scenario::Json::MakeArray();
+    for (size_t i = 0; i < queues.size(); ++i) {
+      scenario::Json q = scenario::Json::MakeObject();
+      q.Set("link", NumU(config.queues[i]));
+      q.Set("kb", Values(queues[i]));
+      qs.Append(std::move(q));
+    }
+    out.Set("queues", std::move(qs));
+  }
+  if (!flows.empty()) {
+    out.Set("flow_t_us", Times(aggregate));
+    scenario::Json fs = scenario::Json::MakeArray();
+    for (const stats::TimeSeries& f : flows) {
+      scenario::Json o = scenario::Json::MakeObject();
+      o.Set("gbps", Values(f));
+      fs.Append(std::move(o));
+    }
+    out.Set("flows", std::move(fs));
+    out.Set("aggregate_gbps", Values(aggregate));
+  }
+  scenario::Json windows = scenario::Json::MakeArray();
+  for (const SeriesConfig::Window& win : config.windows) {
+    const sim::TimePs from = win.from;
+    const sim::TimePs to = win.to;
+    scenario::Json w = scenario::Json::MakeObject();
+    w.Set("from_us", Num(sim::ToUs(from)));
+    w.Set("to_us", Num(sim::ToUs(to)));
+    if (!queues.empty()) {
+      scenario::Json qs = scenario::Json::MakeArray();
+      for (const stats::TimeSeries& q : queues) {
+        qs.Append(WindowStats(q.Window(from, to)));
+      }
+      w.Set("queues", std::move(qs));
+    }
+    if (!flows.empty()) {
+      scenario::Json fs = scenario::Json::MakeArray();
+      for (const stats::TimeSeries& f : flows) {
+        fs.Append(WindowStats(f.Window(from, to)));
+      }
+      w.Set("flows", std::move(fs));
+      w.Set("aggregate", WindowStats(aggregate.Window(from, to)));
+      w.Set("jain", NumOrNull(stats::JainIndex(flows, from, to)));
+    }
+    windows.Append(std::move(w));
+  }
+  out.Set("windows", std::move(windows));
+  return out;
+}
 
 scenario::Json TelemetryConfigToJson(const TelemetryConfig& t) {
   scenario::Json o = scenario::Json::MakeObject();
@@ -48,6 +128,24 @@ scenario::Json TelemetryConfigToJson(const TelemetryConfig& t) {
   o.Set("flow_sample_us", Num(t.flow_sample_us));
   o.Set("int_tracks", Num(t.int_tracks));
   o.Set("int_track_points", Num(t.int_track_points));
+  // Default-elided so documents without declared series echo unchanged.
+  if (!t.series.empty()) {
+    const SeriesConfig& sc = t.series;
+    scenario::Json series = scenario::Json::MakeObject();
+    scenario::Json queues = scenario::Json::MakeArray();
+    for (size_t link : sc.queues) queues.Append(NumU(link));
+    series.Set("queues", std::move(queues));
+    series.Set("flows", Num(sc.flows));
+    scenario::Json windows = scenario::Json::MakeArray();
+    for (const SeriesConfig::Window& w : sc.windows) {
+      scenario::Json win = scenario::Json::MakeObject();
+      win.Set("from_us", Num(sim::ToUs(w.from)));
+      win.Set("to_us", Num(sim::ToUs(w.to)));
+      windows.Append(std::move(win));
+    }
+    series.Set("windows", std::move(windows));
+    o.Set("series", std::move(series));
+  }
   return o;
 }
 
@@ -190,6 +288,12 @@ scenario::Json BuildManifest(const ManifestInputs& in) {
     }
     metrics.Set("fct_bins", std::move(bins));
     m.Set("metrics", metrics);
+  }
+  if (in.session != nullptr && !in.session->config().series.empty()) {
+    m.Set("series", SeriesToJson(in.session->config().series,
+                                 in.session->SeriesQueues(),
+                                 in.session->SeriesFlows(),
+                                 in.session->SeriesAggregate()));
   }
 
   // -- invariant-monitor summary ------------------------------------------

@@ -17,6 +17,7 @@
 
 #include "check/invariant.h"
 #include "scenario/json.h"
+#include "stats/timeseries.h"
 
 namespace hpcc::runner {
 class Experiment;
@@ -31,6 +32,7 @@ namespace hpcc::obs {
 struct PhaseTimers;
 class TelemetrySession;
 struct TelemetryConfig;
+struct SeriesConfig;
 
 struct ManifestInputs {
   std::string label;
@@ -61,6 +63,16 @@ struct ManifestInputs {
 // Canonical JSON form of a TelemetryConfig (every key, resolved values) —
 // the scenario "telemetry" block and the manifest echo share it.
 scenario::Json TelemetryConfigToJson(const TelemetryConfig& t);
+
+// The manifest "series" section (docs/OBSERVABILITY.md): the declared
+// series' sample times and values, and per declared window the max, mean
+// and p50/p95/p99 of every series plus the Jain index over the flow series.
+// A statistic with no samples behind it (an empty window, an all-zero Jain
+// index) is null, never 0.
+scenario::Json SeriesToJson(const SeriesConfig& config,
+                            const std::vector<stats::TimeSeries>& queues,
+                            const std::vector<stats::TimeSeries>& flows,
+                            const stats::TimeSeries& aggregate);
 
 // Builds the manifest document. Serialize with .Dump(2).
 scenario::Json BuildManifest(const ManifestInputs& in);

@@ -1,6 +1,7 @@
 #include "obs/telemetry.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/int_header.h"
 #include "host/flow.h"
@@ -157,102 +158,132 @@ TelemetryCounters TelemetrySession::counters() const {
   return total;
 }
 
+namespace {
+
+sim::TimePs SampleInterval(double us) {
+  return std::max<sim::TimePs>(1, static_cast<sim::TimePs>(us * sim::kPsPerUs));
+}
+
+}  // namespace
+
 void TelemetrySession::Start() {
   const runner::ExperimentConfig& c = experiment_->config();
   // Cover the drain window too — that is where incast queues empty out.
   until_ = c.duration +
            static_cast<sim::TimePs>(c.drain_factor *
                                     static_cast<double>(c.duration));
-  if (!cfg_.trace) return;
-  sim::Simulator& sim = experiment_->simulator();
-  if (cfg_.queue_tracks > 0 && cfg_.queue_sample_us > 0) {
-    queue_interval_ = std::max<sim::TimePs>(
-        1, static_cast<sim::TimePs>(cfg_.queue_sample_us * sim::kPsPerUs));
-    topo::Topology& topo = experiment_->topology();
+  topo::Topology& topo = experiment_->topology();
+  if (cfg_.trace && cfg_.queue_tracks > 0 && cfg_.queue_sample_us > 0) {
+    trace_queues_.interval = SampleInterval(cfg_.queue_sample_us);
     for (uint32_t id : topo.switches()) {
       const net::Node& node = topo.node(id);
       for (int p = 0; p < node.num_ports(); ++p) {
-        QueueTrack qt;
-        qt.node = id;
-        qt.port = p;
-        qt.series.set_max_points(cfg_.queue_track_points);
-        queue_tracks_.push_back(std::move(qt));
+        QueueProbe qp;
+        qp.node = id;
+        qp.port = p;
+        qp.series.set_max_points(cfg_.queue_track_points);
+        trace_queues_.queues.push_back(std::move(qp));
       }
     }
-    sim.ScheduleIn(queue_interval_, [this] { SampleQueues(); });
+    Schedule(&trace_queues_);
   }
-  if (cfg_.flow_tracks > 0 && cfg_.flow_sample_us > 0) {
-    flow_interval_ = std::max<sim::TimePs>(
-        1, static_cast<sim::TimePs>(cfg_.flow_sample_us * sim::kPsPerUs));
-    sim.ScheduleIn(flow_interval_, [this] { SampleFlows(); });
+  if (cfg_.trace && cfg_.flow_tracks > 0 && cfg_.flow_sample_us > 0) {
+    trace_flows_.interval = SampleInterval(cfg_.flow_sample_us);
+    trace_flows_.max_flows = static_cast<size_t>(cfg_.flow_tracks);
+    trace_flows_.flow_points = static_cast<size_t>(cfg_.flow_track_points);
+    Schedule(&trace_flows_);
   }
-}
-
-void TelemetrySession::SampleQueues() {
-  sim::Simulator& sim = experiment_->simulator();
-  const sim::TimePs now = sim.now();
-  topo::Topology& topo = experiment_->topology();
-  for (QueueTrack& qt : queue_tracks_) {
-    const int64_t q = topo.node(qt.node).port(qt.port).queue_bytes(
-        net::kDataPriority);
-    // Idle ports stay pointless (most of a big fabric never queues); the
-    // first nonzero sample retroactively adds a zero so ramps render.
-    if (q == 0 && qt.series.empty()) continue;
-    if (qt.series.empty() && now > queue_interval_) {
-      qt.series.Add(now - queue_interval_, 0);
+  const SeriesConfig& sc = cfg_.series;
+  if (!sc.queues.empty()) {
+    series_queues_.interval = SampleInterval(cfg_.queue_sample_us);
+    series_queues_.dense = true;
+    const std::vector<topo::LinkSpec>& links = topo.links();
+    for (size_t link : sc.queues) {
+      if (link >= links.size()) {
+        throw std::invalid_argument(
+            "telemetry.series queue link " + std::to_string(link) +
+            " out of range (topology has " + std::to_string(links.size()) +
+            " links)");
+      }
+      QueueProbe qp;
+      qp.node = links[link].b;
+      qp.port = links[link].port_b;
+      series_queues_.queues.push_back(std::move(qp));
     }
-    qt.max_bytes = std::max(qt.max_bytes, q);
-    qt.series.Add(now, static_cast<double>(q) / 1000.0);
+    Schedule(&series_queues_);
   }
-  if (now + queue_interval_ <= until_) {
-    sim.ScheduleIn(queue_interval_, [this] { SampleQueues(); });
+  if (sc.flows > 0) {
+    series_flows_.interval = SampleInterval(cfg_.flow_sample_us);
+    series_flows_.dense = true;
+    series_flows_.max_flows = static_cast<size_t>(sc.flows);
+    series_flows_.flows.resize(series_flows_.max_flows);
+    Schedule(&series_flows_);
   }
 }
 
-void TelemetrySession::SampleFlows() {
-  sim::Simulator& sim = experiment_->simulator();
-  const sim::TimePs now = sim.now();
-  const auto& flows = experiment_->flows();
-  // Adopt newly created flows (creation order) until the track budget fills.
-  while (flow_states_.size() < flows.size() &&
-         flow_states_.size() < static_cast<size_t>(cfg_.flow_tracks)) {
-    const host::Flow* f = flows[flow_states_.size()];
-    FlowTrack ft;
-    ft.flow_id = f->spec().id;
-    ft.last_acked = f->snd_una;
-    ft.flow = f;
-    flow_states_.push_back(ft);
-    TelemetryTrack t;
-    t.name = "flow " + std::to_string(f->spec().id);
-    t.unit = "Gbps";
-    t.series.set_max_points(cfg_.flow_track_points);
-    flow_tracks_.push_back(std::move(t));
+void TelemetrySession::Schedule(Sampler* s) {
+  experiment_->simulator().ScheduleIn(s->interval, [this, s] { Tick(s); });
+}
+
+void TelemetrySession::Tick(Sampler* s) {
+  const sim::TimePs now = experiment_->simulator().now();
+  topo::Topology& topo = experiment_->topology();
+  for (QueueProbe& qp : s->queues) {
+    const int64_t q = topo.node(qp.node).port(qp.port).queue_bytes(
+        net::kDataPriority);
+    if (!s->dense) {
+      // Idle ports stay pointless (most of a big fabric never queues); the
+      // first nonzero sample retroactively adds a zero so ramps render.
+      if (q == 0 && qp.series.empty()) continue;
+      if (qp.series.empty() && now > s->interval) {
+        qp.series.Add(now - s->interval, 0);
+      }
+    }
+    qp.max_bytes = std::max(qp.max_bytes, q);
+    qp.series.Add(now, static_cast<double>(q) / 1000.0);
   }
-  const double interval_sec = sim::ToSec(flow_interval_);
-  for (size_t i = 0; i < flow_states_.size(); ++i) {
-    FlowTrack& ft = flow_states_[i];
-    const host::Flow* f = static_cast<const host::Flow*>(ft.flow);
-    const uint64_t acked = std::min(f->snd_una, f->spec().size_bytes);
-    const double gbps = static_cast<double>(acked - ft.last_acked) * 8.0 /
-                        interval_sec / 1e9;
-    ft.last_acked = acked;
-    stats::TimeSeries& s = flow_tracks_[i].series;
-    // Suppress flat zero tails after completion (and before first byte).
-    if (gbps == 0 && (f->done || s.empty())) continue;
-    s.Add(now, gbps);
+
+  const std::vector<host::Flow*>& flows = experiment_->flows();
+  // Sparse: adopt newly created flows (creation order) until the budget
+  // fills. A flow is adopted at the first tick after its creation, so its
+  // first sample counts every byte acked since it started.
+  while (!s->dense &&
+         s->flows.size() < std::min(flows.size(), s->max_flows)) {
+    FlowProbe fp;
+    fp.series.set_max_points(s->flow_points);
+    s->flows.push_back(std::move(fp));
   }
-  if (now + flow_interval_ <= until_) {
-    sim.ScheduleIn(flow_interval_, [this] { SampleFlows(); });
+  const double interval_sec = sim::ToSec(s->interval);
+  double sum = 0;
+  for (size_t i = 0; i < s->flows.size(); ++i) {
+    FlowProbe& fp = s->flows[i];
+    double gbps = 0;
+    if (i < flows.size()) {
+      const host::Flow* f = flows[i];
+      fp.flow_id = f->spec().id;
+      const uint64_t acked = std::min(f->snd_una, f->spec().size_bytes);
+      gbps = static_cast<double>(acked - fp.last_acked) * 8.0 /
+             interval_sec / 1e9;
+      fp.last_acked = acked;
+      // Sparse tracks suppress flat zero tails after completion (and
+      // before the first byte).
+      if (!s->dense && gbps == 0 && (f->done || fp.series.empty())) continue;
+    }
+    fp.series.Add(now, gbps);
+    sum += gbps;
   }
+  if (s->dense && !s->flows.empty()) s->aggregate.Add(now, sum);
+
+  if (now + s->interval <= until_) Schedule(s);
 }
 
 std::vector<TelemetryTrack> TelemetrySession::TopQueueTracks() const {
-  std::vector<const QueueTrack*> active;
-  for (const QueueTrack& qt : queue_tracks_) {
-    if (qt.max_bytes > 0 && !qt.series.empty()) active.push_back(&qt);
+  std::vector<const QueueProbe*> active;
+  for (const QueueProbe& qp : trace_queues_.queues) {
+    if (qp.max_bytes > 0 && !qp.series.empty()) active.push_back(&qp);
   }
   std::sort(active.begin(), active.end(),
-            [](const QueueTrack* a, const QueueTrack* b) {
+            [](const QueueProbe* a, const QueueProbe* b) {
               if (a->max_bytes != b->max_bytes)
                 return a->max_bytes > b->max_bytes;
               if (a->node != b->node) return a->node < b->node;
@@ -263,14 +294,39 @@ std::vector<TelemetryTrack> TelemetrySession::TopQueueTracks() const {
   }
   std::vector<TelemetryTrack> out;
   out.reserve(active.size());
-  for (const QueueTrack* qt : active) {
+  for (const QueueProbe* qp : active) {
     TelemetryTrack t;
-    t.name = "q sw" + std::to_string(qt->node) + " p" +
-             std::to_string(qt->port);
+    t.name = "q sw" + std::to_string(qp->node) + " p" +
+             std::to_string(qp->port);
     t.unit = "kB";
-    t.series = qt->series;
+    t.series = qp->series;
     out.push_back(std::move(t));
   }
+  return out;
+}
+
+std::vector<TelemetryTrack> TelemetrySession::FlowTracks() const {
+  std::vector<TelemetryTrack> out;
+  out.reserve(trace_flows_.flows.size());
+  for (const FlowProbe& fp : trace_flows_.flows) {
+    TelemetryTrack t;
+    t.name = "flow " + std::to_string(fp.flow_id);
+    t.unit = "Gbps";
+    t.series = fp.series;
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+std::vector<stats::TimeSeries> TelemetrySession::SeriesQueues() const {
+  std::vector<stats::TimeSeries> out;
+  for (const QueueProbe& qp : series_queues_.queues) out.push_back(qp.series);
+  return out;
+}
+
+std::vector<stats::TimeSeries> TelemetrySession::SeriesFlows() const {
+  std::vector<stats::TimeSeries> out;
+  for (const FlowProbe& fp : series_flows_.flows) out.push_back(fp.series);
   return out;
 }
 

@@ -7,7 +7,8 @@
 //
 //   TelemetryConfig    scenario "telemetry" block / CLI overrides
 //   TelemetryRecorder  an InvariantMonitor that only counts (never reports)
-//   TelemetrySession   owns the recorder + periodic samplers for one run
+//   TelemetrySession   owns the recorder + periodic samplers for one run:
+//                      the trace's tracks and the declared "series" readout
 //
 // Determinism contract (tested by tests/telemetry_test.cc): everything the
 // recorder and samplers collect — counter totals, sampled queue depths and
@@ -37,6 +38,32 @@ namespace hpcc::obs {
 // CSV column suffixes.
 const char* DropReasonToken(check::DropReason reason);
 
+// "telemetry.series": time series a scenario declares for its manifest
+// readout (docs/OBSERVABILITY.md). Every queue and flow is sampled at every
+// tick — queues every TelemetryConfig::queue_sample_us, flows every
+// flow_sample_us — so the series line up and each declared window
+// summarizes the same ticks across them.
+struct SeriesConfig {
+  // Data-priority egress queues, by Topology::links() index (the index
+  // link_down events use): the queue the link's `b` end transmits into
+  // toward `a` — on every builder's host access link, the switch port
+  // toward the host.
+  std::vector<size_t> queues;
+  // Goodput of the first `flows` flows in creation order (0 before a flow
+  // exists), plus their per-tick sum.
+  int flows = 0;
+  // Readout windows: each summarizes the samples taken in (from, to].
+  struct Window {
+    sim::TimePs from = 0;
+    sim::TimePs to = 0;
+    bool operator==(const Window&) const = default;
+  };
+  std::vector<Window> windows;
+
+  bool empty() const { return queues.empty() && flows == 0; }
+  bool operator==(const SeriesConfig&) const = default;
+};
+
 // Scenario "telemetry" block (see docs/SCENARIO_FORMAT.md). Defaults are
 // chosen so that `--trace-out=FILE` alone produces a useful trace: flow
 // spans, scenario events, PFC windows, the 8 busiest queue tracks and the
@@ -50,14 +77,16 @@ struct TelemetryConfig {
   bool profile = false;
 
   // Queue-depth counter tracks: the `queue_tracks` busiest data-priority
-  // egress queues (by peak depth), sampled every `queue_sample_us`, each
-  // capped at `queue_track_points` (stride-doubling downsample beyond).
+  // egress queues (by peak depth), sampled every `queue_sample_us` (as are
+  // the declared queue series), each capped at `queue_track_points`
+  // (stride-doubling downsample beyond).
   int queue_tracks = 8;
   int queue_track_points = 256;
   double queue_sample_us = 10.0;
 
-  // Per-flow rate tracks (delta snd_una, same idea as stats::GoodputSampler)
-  // for the first `flow_tracks` flows by creation order.
+  // Per-flow rate tracks (acked bytes per interval) for the first
+  // `flow_tracks` flows by creation order, sampled every `flow_sample_us`
+  // (as are the declared flow series).
   int flow_tracks = 8;
   int flow_track_points = 512;
   double flow_sample_us = 10.0;
@@ -67,6 +96,9 @@ struct TelemetryConfig {
   // default — only meaningful for INT-carrying schemes.
   int int_tracks = 0;
   int int_track_points = 512;
+
+  // Declared series for the manifest readout (empty = none).
+  SeriesConfig series;
 
   bool enabled() const { return manifest || trace; }
   bool operator==(const TelemetryConfig&) const = default;
@@ -145,23 +177,24 @@ class TelemetryRecorder final : public check::InvariantMonitor {
 };
 
 // Owns the telemetry machinery for one experiment run: adds a
-// TelemetryRecorder to the registry (which owns it) and, when tracks are
-// requested, schedules fixed-interval samplers for queue depth and per-flow
-// rate. Samplers are read-only: a run with telemetry on produces the exact
-// CSV a run with telemetry off does.
+// TelemetryRecorder to the registry (which owns it) and, when the trace's
+// tracks or declared series are requested, schedules fixed-interval samplers
+// for queue depth and per-flow rate. Samplers are read-only: a run with
+// telemetry on produces the exact CSV a run with telemetry off does.
 class TelemetrySession {
  public:
   TelemetrySession(const TelemetryConfig& cfg, check::MonitorRegistry* registry,
                    runner::Experiment* experiment);
   // Lane variant: one recorder per lane registry. Counter totals are summed
-  // over the lanes by counters(); sampled tracks require trace mode, which
-  // forces shards=1, so the samplers only ever run on one lane.
+  // over the lanes by counters(); the samplers read lane 0 only, so the
+  // scenario runner forces shards=1 whenever a trace or series is sampled.
   TelemetrySession(const TelemetryConfig& cfg,
                    const std::vector<check::MonitorRegistry*>& registries,
                    runner::Experiment* experiment);
 
   // Schedules the samplers (must be called before Experiment::Run). Sampling
-  // covers [0, duration * (1 + drain_factor)].
+  // covers [0, duration * (1 + drain_factor)]. Throws std::invalid_argument
+  // on a declared queue link the topology does not have.
   void Start();
 
   const TelemetryConfig& config() const { return cfg_; }
@@ -179,36 +212,60 @@ class TelemetrySession {
   // The `queue_tracks` busiest sampled queues (peak depth desc, then node,
   // port asc); empty tracks (never above zero) are skipped.
   std::vector<TelemetryTrack> TopQueueTracks() const;
-  const std::vector<TelemetryTrack>& flow_tracks() const {
-    return flow_tracks_;
+  // The trace's rate tracks: one per adopted flow, the first `flow_tracks`
+  // in creation order.
+  std::vector<TelemetryTrack> FlowTracks() const;
+
+  // The declared series (telemetry.series) as sampled: one per declared
+  // queue link (kB), one per tracked flow (Gbps), and the flows' per-tick
+  // sum. Empty when no series is declared.
+  std::vector<stats::TimeSeries> SeriesQueues() const;
+  std::vector<stats::TimeSeries> SeriesFlows() const;
+  const stats::TimeSeries& SeriesAggregate() const {
+    return series_flows_.aggregate;
   }
 
  private:
-  struct QueueTrack {
+  struct QueueProbe {
     uint32_t node = 0;
     int port = 0;
     int64_t max_bytes = 0;
-    stats::TimeSeries series;
+    stats::TimeSeries series;  // kB
   };
-  struct FlowTrack {
-    uint64_t flow_id = 0;
+  struct FlowProbe {
+    uint64_t flow_id = 0;  // 0 until the flow exists
     uint64_t last_acked = 0;
-    const void* flow = nullptr;  // host::Flow*, opaque here
+    stats::TimeSeries series;  // Gbps
+  };
+  // One fixed-interval sampling schedule. The trace's tracks and the
+  // declared series run the same Tick and differ only in `dense`: a dense
+  // sampler records every probe at every tick (reading 0 for a flow not
+  // created yet), so the series line up; a sparse one keeps idle queues and
+  // flows before their first byte or after completion out of the trace.
+  struct Sampler {
+    sim::TimePs interval = 0;
+    bool dense = false;
+    std::vector<QueueProbe> queues;
+    // Probes for the first `max_flows` flows in creation order: created up
+    // front when dense, adopted as the flows appear when sparse.
+    size_t max_flows = 0;
+    size_t flow_points = 0;  // per-track cap of adopted sparse tracks
+    std::vector<FlowProbe> flows;
+    stats::TimeSeries aggregate;  // dense: sum over the flows per tick
   };
 
-  void SampleQueues();
-  void SampleFlows();
+  void Schedule(Sampler* s);
+  void Tick(Sampler* s);
 
   TelemetryConfig cfg_;
   runner::Experiment* experiment_;
   TelemetryRecorder* recorder_;  // owned by the (first) registry
   std::vector<TelemetryRecorder*> recorders_;  // one per lane registry
   sim::TimePs until_ = 0;
-  sim::TimePs queue_interval_ = 0;
-  sim::TimePs flow_interval_ = 0;
-  std::vector<QueueTrack> queue_tracks_;   // one per data-priority queue
-  std::vector<FlowTrack> flow_states_;
-  std::vector<TelemetryTrack> flow_tracks_;
+  Sampler trace_queues_;   // every switch port's data-priority queue
+  Sampler trace_flows_;
+  Sampler series_queues_;  // the declared series
+  Sampler series_flows_;
 };
 
 }  // namespace hpcc::obs

@@ -204,7 +204,7 @@ std::string BuildTraceJson(const TraceExportInputs& in) {
     for (const TelemetryTrack& t : in.session->TopQueueTracks()) {
       CounterTrack(w, 4, t);
     }
-    for (const TelemetryTrack& t : in.session->flow_tracks()) {
+    for (const TelemetryTrack& t : in.session->FlowTracks()) {
       CounterTrack(w, 5, t);
     }
     const TelemetryRecorder& rec = in.session->recorder();

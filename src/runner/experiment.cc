@@ -126,6 +126,12 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
   if (config_.hybrid.enabled) {
     analytic::FluidRegionParams fp;
     fp.tick = config_.hybrid.tick > 0 ? config_.hybrid.tick : base_rtt_;
+    // The fluid per-RTT map runs the packet flows' HPCC constants. W_AI
+    // follows only an explicit value; the derived default (wai_bytes <= 0)
+    // keeps the map's own.
+    fp.eta = config_.cc.hpcc.eta;
+    fp.max_stage = config_.cc.hpcc.max_stage;
+    if (config_.cc.hpcc.wai_bytes > 0) fp.wai_bytes = config_.cc.hpcc.wai_bytes;
     // Projected fluid qLen is clamped to the same buffer bound the
     // IntSanityMonitor enforces on real queues.
     fp.qlen_cap_bytes = MakeSwitchConfig().buffer_bytes;
@@ -608,7 +614,7 @@ ExperimentResult Experiment::FinishRun() {
   // A frozen clock under an exhausted event budget would spin here forever.
   while (!Settled() && simulator().now() < cap && !budget_exhausted() &&
          !deadline_exceeded()) {
-    RunLanes(simulator().now() + sim::Ms(1));
+    RunLanes(std::min(simulator().now() + sim::Ms(1), cap));
   }
   return Collect();
 }
@@ -692,6 +698,8 @@ std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() {
 bool Experiment::ValidateWarmState(const WarmState& w) {
   if (shards() > 1) return false;
   if (!queue_monitor_started_) return false;
+  // Flows created before the restore (static flows) would run twice.
+  if (!lanes_[0]->flow_ptrs.empty()) return false;
   if (w.fct == nullptr) return false;
   if (lanes_[0]->sources.size() != w.sources.size()) return false;
   if (topology_->switches().size() != w.switches.size()) return false;

@@ -1,7 +1,6 @@
 // Experiment harness: wires a topology, a CC scheme, workload generators and
 // monitors into one runnable unit. The scenario runner (scenario_main, the
-// paper-figure documents), the remaining figure benches and the examples all
-// build on this.
+// paper-figure documents), bench_fig1 and the examples all build on this.
 #pragma once
 
 #include <chrono>
@@ -79,7 +78,7 @@ struct ExperimentConfig {
 
   sim::TimePs duration = sim::Ms(10);  // workload generation horizon
   // After `duration`, keep simulating until all flows finish, capped at
-  // drain_factor * duration extra.
+  // drain_factor * duration extra (0 = stop at duration).
   double drain_factor = 4.0;
   uint64_t seed = 1;
   // Intra-run parallelism: partition the fabric into this many lanes

@@ -154,11 +154,13 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
       cfg.fast_path = opts.fastpath_override != 0;
     }
     if (opts.shards_override >= 1) cfg.shards = opts.shards_override;
-    // The flight-recorder samplers read live state from one simulator at
-    // fixed sim times; trace export therefore always runs single-lane. The
-    // deterministic outputs are pinned shard-equal, so this costs nothing
-    // but wall clock.
-    if (tcfg.trace) cfg.shards = 1;
+    // The samplers (the trace's tracks and the declared series) read live
+    // state from one simulator at fixed sim times, so sampled runs are
+    // single-lane. The deterministic outputs are pinned shard-equal, so
+    // this costs nothing but wall clock.
+    const bool sampled =
+        tcfg.trace || (telemetry_on && !tcfg.series.empty());
+    if (sampled) cfg.shards = 1;
     // The fluid engine couples shared-port state on one event arena; a
     // shards override must not push a hybrid run into lanes.
     if (cfg.hybrid.enabled) cfg.shards = 1;
@@ -195,12 +197,14 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
     // degree-dependent install draws of expanded switch/NIC events nor the
     // corruption RNG streams), and a wall deadline can fire mid-checkpoint.
     // Hybrid runs are always cold too: the fluid engine's continuous link
-    // and window state has no warm capture surface.
+    // and window state has no warm capture surface. So are runs with static
+    // flows, which exist before any checkpoint could stand in for them.
     bool warm_on = opts.warm && opts.warm_cache != nullptr && warm_until > 0 &&
                    warm_until < cfg.duration && cfg.shards == 1 &&
-                   !opts.check && opts.event_budget == 0 && !tcfg.trace &&
+                   !opts.check && opts.event_budget == 0 && !sampled &&
                    !tcfg.profile && deadline_s == 0 &&
-                   !HasFaultEvents(run.scenario) && !cfg.hybrid.enabled;
+                   !HasFaultEvents(run.scenario) && !cfg.hybrid.enabled &&
+                   run.scenario.flows.empty();
     for (const ScenarioEvent& ev : run.scenario.events) {
       if ((ev.kind == ScenarioEvent::Kind::kLinkDown ||
            ev.kind == ScenarioEvent::Kind::kLinkUp) &&

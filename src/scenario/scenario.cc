@@ -213,7 +213,8 @@ void ParseDcqcn(const Json& d, cc::DcqcnParams* p) {
 void ParseCc(const Json& c, runner::ExperimentConfig* cfg) {
   CheckKeys(c, "cc",
             {"scheme", "eta", "wai_bytes", "max_stage", "expected_flows",
-             "alpha_fair", "dcqcn"});
+             "alpha_fair", "dcqcn", "use_min_qlen_filter", "use_ewma",
+             "use_div_table", "wire_format"});
   cfg->cc.scheme = StrOr(c, "scheme", cfg->cc.scheme);
   if (cfg->cc.scheme.empty()) throw ScenarioError("cc.scheme must be set");
   cfg->cc.hpcc.eta = PositiveNum(c, "eta", cfg->cc.hpcc.eta, "cc");
@@ -224,6 +225,13 @@ void ParseCc(const Json& c, runner::ExperimentConfig* cfg) {
       PositiveInt(c, "expected_flows", cfg->cc.hpcc.expected_flows, "cc");
   cfg->cc.alpha_fair = PositiveNum(c, "alpha_fair", cfg->cc.alpha_fair, "cc");
   if (const Json* d = c.Find("dcqcn")) ParseDcqcn(*d, &cfg->cc.dcqcn);
+  // HPCC design-choice switches (the ablations; core/hpcc_params.h).
+  core::HpccParams& h = cfg->cc.hpcc;
+  h.use_min_qlen_filter =
+      BoolOr(c, "use_min_qlen_filter", h.use_min_qlen_filter);
+  h.use_ewma = BoolOr(c, "use_ewma", h.use_ewma);
+  h.use_div_table = BoolOr(c, "use_div_table", h.use_div_table);
+  h.wire_format = BoolOr(c, "wire_format", h.wire_format);
 }
 
 // "ecn": WRED marking thresholds at the 25 Gbps reference, overriding the
@@ -284,7 +292,7 @@ workload::IncastOptions ParseIncast(const Json& inc, const char* where) {
 void ParseWorkload(const Json& w, runner::ExperimentConfig* cfg) {
   CheckKeys(w, "workload",
             {"load", "trace", "max_flows", "incast", "flow_class",
-             "trace_file"});
+             "trace_file", "flows"});
   cfg->load = NumOr(w, "load", cfg->load);
   if (cfg->load < 0 || cfg->load > 4) {
     throw ScenarioError("workload.load must be in [0, 4]");
@@ -308,6 +316,40 @@ void ParseWorkload(const Json& w, runner::ExperimentConfig* cfg) {
     cfg->incast = true;
     cfg->incast_opts = ParseIncast(*inc, "workload.incast");
   }
+}
+
+// "workload.flows": inline trace-replay rows. Besides the trace_file row
+// rules (workload/trace_replay.h) the host indices must fit the topology.
+std::vector<workload::TraceRecord> ParseFlows(const Json& rows, int hosts) {
+  if (!rows.is_array()) throw ScenarioError("workload.flows must be an array");
+  std::vector<workload::TraceRecord> out;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const std::string where = "workload.flows[" + std::to_string(i) + "]";
+    const Json& row = rows.at(i);
+    if (!row.is_object()) throw ScenarioError(where + " must be an object");
+    CheckKeys(row, where.c_str(), {"start_us", "src", "dst", "bytes"});
+    const double start_us = Require(row, "start_us", where.c_str()).AsDouble();
+    if (!(start_us >= 0)) throw ScenarioError(where + ".start_us must be >= 0");
+    const int64_t src = Require(row, "src", where.c_str()).AsInt();
+    const int64_t dst = Require(row, "dst", where.c_str()).AsInt();
+    if (src < 0 || src >= hosts || dst < 0 || dst >= hosts) {
+      throw ScenarioError(where + " host index out of range (topology has " +
+                          std::to_string(hosts) + " hosts)");
+    }
+    const int64_t bytes = Require(row, "bytes", where.c_str()).AsInt();
+    workload::TraceRecord r;
+    r.at = UsToPs(start_us, "start_us");
+    r.src = static_cast<uint32_t>(src);
+    r.dst = static_cast<uint32_t>(dst);
+    if (bytes < 0) throw ScenarioError(where + ".bytes must be > 0");
+    r.bytes = static_cast<uint64_t>(bytes);
+    if (const char* bad =
+            workload::CheckTraceRecord(r, out.empty() ? nullptr : &out.back())) {
+      throw ScenarioError(where + ": " + bad);
+    }
+    out.push_back(r);
+  }
+  return out;
 }
 
 ScenarioEvent ParseEvent(const Json& ev, size_t index) {
@@ -406,12 +448,58 @@ int TrackCount(const Json& t, const char* key, int def) {
   return static_cast<int>(v);
 }
 
+// "telemetry.series": the declared time series and readout windows.
+obs::SeriesConfig ParseSeries(const Json& j) {
+  if (!j.is_object()) throw ScenarioError("telemetry.series must be an object");
+  CheckKeys(j, "telemetry.series",
+            {"queues", "flows", "windows"});
+  obs::SeriesConfig sc;
+  if (const Json* queues = j.Find("queues")) {
+    if (!queues->is_array()) {
+      throw ScenarioError("telemetry.series.queues must be an array");
+    }
+    for (const Json& link : queues->items()) {
+      const int64_t v = link.AsInt();
+      if (v < 0) {
+        throw ScenarioError("telemetry.series.queues: link must be >= 0");
+      }
+      sc.queues.push_back(static_cast<size_t>(v));
+    }
+  }
+  sc.flows = TrackCount(j, "flows", sc.flows);
+  if (sc.empty()) {
+    throw ScenarioError("telemetry.series declares no queue and no flows");
+  }
+  if (const Json* windows = j.Find("windows")) {
+    if (!windows->is_array()) {
+      throw ScenarioError("telemetry.series.windows must be an array");
+    }
+    for (size_t i = 0; i < windows->size(); ++i) {
+      const std::string where =
+          "telemetry.series.windows[" + std::to_string(i) + "]";
+      const Json& w = windows->at(i);
+      if (!w.is_object()) throw ScenarioError(where + " must be an object");
+      CheckKeys(w, where.c_str(), {"from_us", "to_us"});
+      obs::SeriesConfig::Window win;
+      win.from = UsToPs(Require(w, "from_us", where.c_str()).AsDouble(),
+                        "telemetry.series window");
+      win.to = UsToPs(Require(w, "to_us", where.c_str()).AsDouble(),
+                      "telemetry.series window");
+      if (!(win.from >= 0 && win.to > win.from)) {
+        throw ScenarioError(where + " needs 0 <= from_us < to_us");
+      }
+      sc.windows.push_back(win);
+    }
+  }
+  return sc;
+}
+
 obs::TelemetryConfig ParseTelemetry(const Json& t) {
   CheckKeys(t, "telemetry",
             {"manifest", "trace", "profile", "queue_tracks",
              "queue_track_points", "queue_sample_us", "flow_tracks",
              "flow_track_points", "flow_sample_us", "int_tracks",
-             "int_track_points"});
+             "int_track_points", "series"});
   obs::TelemetryConfig c;
   c.manifest = BoolOr(t, "manifest", c.manifest);
   c.trace = BoolOr(t, "trace", c.trace);
@@ -429,6 +517,7 @@ obs::TelemetryConfig ParseTelemetry(const Json& t) {
   c.int_tracks = TrackCount(t, "int_tracks", c.int_tracks);
   c.int_track_points =
       PositiveInt(t, "int_track_points", c.int_track_points, "telemetry");
+  if (const Json* series = t.Find("series")) c.series = ParseSeries(*series);
   return c;
 }
 
@@ -470,7 +559,12 @@ Scenario ParseScenario(const Json& doc) {
 
   ParseTopology(Require(doc, "topology", "scenario"), &s.config);
   if (const Json* c = doc.Find("cc")) ParseCc(*c, &s.config);
-  if (const Json* w = doc.Find("workload")) ParseWorkload(*w, &s.config);
+  if (const Json* w = doc.Find("workload")) {
+    ParseWorkload(*w, &s.config);
+    if (const Json* rows = w->Find("flows")) {
+      s.flows = ParseFlows(*rows, NumHosts(s.config));
+    }
+  }
   if (s.config.incast) {
     const int hosts = NumHosts(s.config);
     if (s.config.incast_opts.fan_in >= hosts) {
@@ -488,8 +582,11 @@ Scenario ParseScenario(const Json& doc) {
       PositiveNum(doc, "duration_ms", sim::ToMs(s.config.duration),
                   "scenario"),
       static_cast<double>(sim::kPsPerMs), "duration_ms");
-  s.config.drain_factor =
-      PositiveNum(doc, "drain_factor", s.config.drain_factor, "scenario");
+  // 0 = stop at duration (no drain).
+  s.config.drain_factor = NumOr(doc, "drain_factor", s.config.drain_factor);
+  if (!(s.config.drain_factor >= 0)) {
+    throw ScenarioError("\"drain_factor\" in scenario must be >= 0");
+  }
   const int64_t seed = IntOr(doc, "seed", static_cast<int64_t>(s.config.seed));
   if (seed < 0) throw ScenarioError("seed must be >= 0");
   s.config.seed = static_cast<uint64_t>(seed);
@@ -555,10 +652,14 @@ Scenario ParseScenario(const Json& doc) {
     if (s.config.shards != 1) {
       throw ScenarioError("hybrid requires shards = 1");
     }
-    if (!cc::SchemeUsesInt(s.config.cc.scheme)) {
+    // The fluid map models plain HPCC only (analytic/fluid.h): the other
+    // INT schemes' reaction and rate-signal variants would silently run it.
+    if (s.config.cc.scheme != "hpcc") {
       throw ScenarioError(
-          "hybrid fluid coupling needs an INT-carrying cc.scheme (the fluid "
-          "engine injects congestion state through INT stamps)");
+          "hybrid fluid coupling needs cc.scheme \"hpcc\", got \"" +
+          s.config.cc.scheme +
+          "\" (the fluid engine runs HPCC's per-RTT map and injects "
+          "congestion state through INT stamps)");
     }
   } else if (s.config.flow_class == workload::FlowClass::kFluid ||
              (s.config.incast && s.config.incast_opts.flow_class ==
@@ -789,6 +890,18 @@ Json ScenarioToJson(const Scenario& s) {
           Json::MakeNumber(PsToUs(cfg.cc.dcqcn.min_dec_interval)));
     c.Set("dcqcn", std::move(d));
   }
+  // The HPCC switches, each elided at its default.
+  const core::HpccParams hpcc_defaults;
+  const auto set_switch = [&c](const char* key, bool v, bool def) {
+    if (v != def) c.Set(key, Json::MakeBool(v));
+  };
+  set_switch("use_min_qlen_filter", cfg.cc.hpcc.use_min_qlen_filter,
+             hpcc_defaults.use_min_qlen_filter);
+  set_switch("use_ewma", cfg.cc.hpcc.use_ewma, hpcc_defaults.use_ewma);
+  set_switch("use_div_table", cfg.cc.hpcc.use_div_table,
+             hpcc_defaults.use_div_table);
+  set_switch("wire_format", cfg.cc.hpcc.wire_format,
+             hpcc_defaults.wire_format);
   doc.Set("cc", std::move(c));
 
   Json w = Json::MakeObject();
@@ -800,6 +913,18 @@ Json ScenarioToJson(const Scenario& s) {
   }
   if (!cfg.trace_file.empty()) {
     w.Set("trace_file", Json::MakeString(cfg.trace_file));
+  }
+  if (!s.flows.empty()) {
+    Json rows = Json::MakeArray();
+    for (const workload::TraceRecord& r : s.flows) {
+      Json row = Json::MakeObject();
+      row.Set("start_us", Json::MakeNumber(PsToUs(r.at)));
+      row.Set("src", Json::MakeNumber(r.src));
+      row.Set("dst", Json::MakeNumber(r.dst));
+      row.Set("bytes", Json::MakeNumber(static_cast<double>(r.bytes)));
+      rows.Append(std::move(row));
+    }
+    w.Set("flows", std::move(rows));
   }
   if (cfg.incast) {
     w.Set("incast", IncastToJson(cfg.incast_opts, /*with_schedule=*/true));
@@ -1028,6 +1153,12 @@ InstalledEvents InstallEvents(runner::Experiment& e, const Scenario& s) {
   const int shards = e.shards();
   const size_t num_links = topology.links().size();
   const size_t num_hosts = e.hosts().size();
+
+  // Static flows first, in row order: they take flow ids 1..N whatever the
+  // script and the generators add later.
+  for (const workload::TraceRecord& r : s.flows) {
+    e.AddFlow(e.hosts()[r.src], e.hosts()[r.dst], r.bytes, r.at);
+  }
 
   // Load phases, in time order. Phase 0 is the configured workload.load
   // starting at t=0; each load_phase event ends the previous phase.

@@ -86,6 +86,11 @@ struct Scenario {
   std::string name = "scenario";
   std::string description;  // free-form, carried through the round trip
   runner::ExperimentConfig config;
+  // "workload.flows": static flows in trace-replay row form ({start_us,
+  // src, dst, bytes}, src/dst indexing Experiment::hosts()), checked by the
+  // trace_file row rules. InstallEvents creates them up front as packet
+  // flows in row order, so they hold flow ids 1..N.
+  std::vector<workload::TraceRecord> flows;
   // "telemetry" block: manifest/trace emission and track shaping. The CLI
   // (--trace-out/--manifest) can force parts of it on per invocation.
   obs::TelemetryConfig telemetry;
@@ -179,11 +184,12 @@ uint64_t WarmFingerprint(const Scenario& s);
 // name for existing callers.
 struct InstalledEvents {};
 
-// Schedules the scenario's timed events onto a freshly-built experiment:
-// link_down/link_up drive Topology::SetLinkUp (routes recompute), incast
-// events start one-shot bursts, load phases start windowed Poisson
-// generators (both handed to Experiment::AddSource, started at install
-// time). Validates link indices against the live topology.
+// Creates the static flows (workload.flows), then schedules the scenario's
+// timed events onto a freshly-built experiment: link_down/link_up drive
+// Topology::SetLinkUp (routes recompute), incast events start one-shot
+// bursts, load phases start windowed Poisson generators (both handed to
+// Experiment::AddSource, started at install time). Validates link indices
+// against the live topology.
 InstalledEvents InstallEvents(runner::Experiment& e, const Scenario& s);
 
 }  // namespace hpcc::scenario

@@ -1,5 +1,6 @@
-// Periodic sampling of switch egress queue depths (queue-length CDFs of
-// Fig. 9f/10b/10d and the time series of Fig. 6/9/13b/14b).
+// Periodic sampling of switch egress queue depths (the queue-length CDFs of
+// Fig. 9f/10b/10d; the time series of Figs. 6/9/13b/14b are telemetry's
+// declared series, obs/telemetry.h).
 #pragma once
 
 #include <cstdint>
@@ -7,14 +8,9 @@
 
 #include "sim/simulator.h"
 #include "stats/percentile.h"
-#include "stats/timeseries.h"
 
 namespace hpcc::topo {
 class Topology;
-}
-
-namespace hpcc::net {
-class Port;
 }
 
 namespace hpcc::stats {
@@ -77,23 +73,6 @@ class QueueMonitor {
   sim::TimePs tick_at_ = 0;
   uint64_t tick_seq_ = 0;
   sim::EventId tick_event_ = sim::kInvalidEvent;
-};
-
-// Time series of one specific port's data queue (Fig. 6 / 13b).
-class PortQueueSampler {
- public:
-  PortQueueSampler(sim::Simulator* simulator, const net::Port* port,
-                   sim::TimePs interval);
-  void Start(sim::TimePs until);
-  const TimeSeries& series() const { return series_; }
-
- private:
-  void Sample();
-  sim::Simulator* simulator_;
-  const net::Port* port_;
-  sim::TimePs interval_;
-  sim::TimePs until_ = 0;
-  TimeSeries series_;
 };
 
 }  // namespace hpcc::stats

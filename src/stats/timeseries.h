@@ -1,16 +1,13 @@
-// Simple (time, value) series plus a per-flow goodput sampler.
+// Simple (time, value) series plus the window readout over it (the
+// manifest's declared-series statistics, docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "sim/simulator.h"
 #include "sim/time.h"
-
-namespace hpcc::host {
-class Flow;
-}
+#include "stats/percentile.h"
 
 namespace hpcc::stats {
 
@@ -35,9 +32,9 @@ class TimeSeries {
   void set_max_points(size_t max_points);
   size_t max_points() const { return max_points_; }
 
-  // Downsampled CSV-ish rendering: "t_us,value" per line, at most max_rows.
-  std::string Format(size_t max_rows = 40) const;
-  double MaxValue() const;
+  // The values of the points with from < t <= to. Every statistic of an
+  // empty window is NaN, never 0.
+  PercentileTracker Window(sim::TimePs from, sim::TimePs to) const;
 
  private:
   void Compact();  // keep even indices: halves size, doubles the stride
@@ -46,32 +43,10 @@ class TimeSeries {
   size_t max_points_ = 0;
 };
 
- // Samples each tracked flow's acked-byte delta per interval -> goodput in
- // Gbps (the per-flow throughput curves of Fig. 9a/9g, 13a, 14a).
-class GoodputSampler {
- public:
-  GoodputSampler(sim::Simulator* simulator, sim::TimePs interval);
-  // Track a flow under a label; safe to call before the flow starts.
-  void Track(const host::Flow* flow, const std::string& label);
-  void Start(sim::TimePs until);
-
-  size_t num_flows() const { return flows_.size(); }
-  const std::string& label(size_t i) const { return labels_[i]; }
-  const TimeSeries& series(size_t i) const { return series_[i]; }
-  // Sum across flows at each tick (aggregate throughput, Fig. 13a).
-  TimeSeries Aggregate() const;
-
- private:
-  void Sample();
-  sim::Simulator* simulator_;
-  sim::TimePs interval_;
-  sim::TimePs until_ = 0;
-  std::vector<const host::Flow*> flows_;
-  std::vector<std::string> labels_;
-  std::vector<uint64_t> last_acked_;
-  std::vector<TimeSeries> series_;
-
-  std::vector<std::pair<sim::TimePs, double>> agg_points_;
-};
+// Jain's fairness index (sum m)^2 / (n * sum m^2) over the n series' window
+// means m = Window(from, to).Mean(). NaN when undefined: no series, an
+// empty window, or every mean zero.
+double JainIndex(const std::vector<TimeSeries>& series, sim::TimePs from,
+                 sim::TimePs to);
 
 }  // namespace hpcc::stats

@@ -57,6 +57,15 @@ sim::TimePs ParseArrivalUs(const std::string& field, size_t line) {
 
 }  // namespace
 
+const char* CheckTraceRecord(const TraceRecord& r, const TraceRecord* prev) {
+  if (r.src == r.dst) return "src == dst";
+  if (r.bytes == 0) return "zero-byte flow";
+  if (prev != nullptr && r.at < prev->at) {
+    return "rows not sorted (non-decreasing arrival time required)";
+  }
+  return nullptr;
+}
+
 std::vector<TraceRecord> ParseFlowTrace(std::istream& in) {
   std::vector<TraceRecord> records;
   std::string line;
@@ -83,10 +92,10 @@ std::vector<TraceRecord> ParseFlowTrace(std::istream& in) {
     r.src = static_cast<uint32_t>(ParseU64(fields[1], line_no, "src"));
     r.dst = static_cast<uint32_t>(ParseU64(fields[2], line_no, "dst"));
     r.bytes = ParseU64(fields[3], line_no, "bytes");
-    if (r.src == r.dst) Fail(line_no, "src == dst");
-    if (r.bytes == 0) Fail(line_no, "zero-byte flow");
-    if (!records.empty() && r.at < records.back().at)
-      Fail(line_no, "arrivals not sorted (non-decreasing arrival_us required)");
+    if (const char* bad = CheckTraceRecord(
+            r, records.empty() ? nullptr : &records.back())) {
+      Fail(line_no, bad);
+    }
     records.push_back(r);
     saw_data = true;
   }

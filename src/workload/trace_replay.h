@@ -44,6 +44,12 @@ struct TraceRecord {
   }
 };
 
+// The row rules beyond syntax, shared with the scenario's inline
+// `workload.flows` rows: src != dst, a nonzero size, and arrivals in
+// non-decreasing order. Returns the broken rule, or null when `r` (after
+// `prev`; null for the first row) is valid.
+const char* CheckTraceRecord(const TraceRecord& r, const TraceRecord* prev);
+
 // Parses the CSV format above. Throws std::runtime_error with the offending
 // line number on malformed input.
 std::vector<TraceRecord> ParseFlowTrace(std::istream& in);

@@ -109,6 +109,22 @@ TEST(Hybrid, ScenarioSchemaValidation) {
             scenario::ScenarioToJson(s).Dump());
 }
 
+TEST(Hybrid, FluidMapFollowsCcParameters) {
+  // eta, max_stage and an explicit W_AI reach the fluid per-RTT map: a
+  // fluid-only run changes with each of them.
+  const uint64_t base = runner::Experiment(SmallHybridConfig()).Run().trace_hash;
+  runner::ExperimentConfig eta = SmallHybridConfig();
+  eta.cc.hpcc.eta = 0.8;
+  EXPECT_NE(runner::Experiment(eta).Run().trace_hash, base);
+  runner::ExperimentConfig wai = SmallHybridConfig();
+  wai.cc.hpcc.wai_bytes = 4000;
+  EXPECT_NE(runner::Experiment(wai).Run().trace_hash, base);
+  // The derived-W_AI default (wai_bytes <= 0) keeps the map's own W_AI.
+  runner::ExperimentConfig derived = SmallHybridConfig();
+  derived.cc.hpcc.expected_flows = 3;
+  EXPECT_EQ(runner::Experiment(derived).Run().trace_hash, base);
+}
+
 TEST(Hybrid, FluidFlowsAreAccountedAndComplete) {
   runner::ExperimentConfig cfg = SmallHybridConfig();
   runner::Experiment e(cfg);

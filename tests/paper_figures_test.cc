@@ -1,10 +1,13 @@
 // Golden equivalence for the paper-figure scenario documents: every sweep
-// point of examples/scenarios/paper/*.json, at the shortened duration
-// listed in paper_figures_golden.txt (applied the way `scenario_main --set
-// duration_ms=N` applies it), must reproduce the trace hash recorded from
-// the hand-built ExperimentConfig of the figure driver it replaced. A
-// drifted value anywhere in a figure document (a timer, a threshold, the
-// incast shape, the topology) changes the flows and fails here.
+// point of examples/scenarios/paper/*.json, at the duration listed in
+// paper_figures_golden.txt (applied the way `scenario_main --set
+// duration_ms=N` applies it), must reproduce the trace hash — and, where
+// recorded, the forwarded-packet count — of the hand-built ExperimentConfig
+// of the figure driver it replaced, and, where the document declares
+// telemetry.series, the digest of its manifest "series" readout. A drifted
+// value anywhere in a figure document (a timer, a threshold, a flow row,
+// the topology, a sampled link, an interval, a window) changes the flows,
+// their dynamics or the readout and fails here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/hash.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
@@ -30,6 +34,8 @@ std::string PaperDir() {
 struct GoldenPoint {
   std::string duration_ms;
   std::string hash;
+  std::string packets;  // "-" = not recorded
+  std::string series;   // "-" = no declared series
   std::string label;
 };
 
@@ -45,7 +51,8 @@ std::map<std::string, std::vector<GoldenPoint>> LoadGolden() {
     std::string file;
     size_t index = 0;
     GoldenPoint p;
-    fields >> file >> p.duration_ms >> index >> p.hash >> p.label;
+    fields >> file >> p.duration_ms >> index >> p.hash >> p.packets >>
+        p.series >> p.label;
     EXPECT_EQ(index, golden[file].size()) << line;
     golden[file].push_back(p);
   }
@@ -86,20 +93,40 @@ TEST(PaperFigures, PointsMatchTheFormerDrivers) {
     ASSERT_EQ(expanded.size(), points.size());
     for (size_t i = 0; i < expanded.size(); ++i) {
       EXPECT_EQ(expanded[i].label, points[i].label);
-      // The hash does not depend on telemetry; skip its hook fan-out.
-      expanded[i].scenario.telemetry = obs::TelemetryConfig{};
+      // Series points write the manifest their digest reads. The hash does
+      // not depend on telemetry, so the rest skip its hook fan-out.
+      EXPECT_EQ(points[i].series == "-",
+                expanded[i].scenario.telemetry.series.empty());
+      if (points[i].series == "-") {
+        expanded[i].scenario.telemetry = obs::TelemetryConfig{};
+      }
       runs.push_back(std::move(expanded[i]));
       expected.push_back(&points[i]);
     }
   }
   ScenarioRunnerOptions opts;
   opts.jobs = 4;
+  opts.out_base = ::testing::TempDir() + "paper_figures";
   const std::vector<SweepRunResult> results = ScenarioRunner(opts).RunAll(runs);
   ASSERT_EQ(results.size(), expected.size());
   for (size_t i = 0; i < results.size(); ++i) {
     SCOPED_TRACE(results[i].label);
     EXPECT_TRUE(results[i].ok()) << results[i].error;
     EXPECT_EQ(HashHex(results[i].result.trace_hash), expected[i]->hash);
+    if (expected[i]->packets != "-") {
+      EXPECT_EQ(std::to_string(results[i].result.packets_forwarded),
+                expected[i]->packets);
+    }
+    if (expected[i]->series != "-") {
+      ASSERT_FALSE(results[i].manifest_path.empty());
+      std::ifstream in(results[i].manifest_path);
+      std::stringstream text;
+      text << in.rdbuf();
+      const Json manifest = Json::Parse(text.str());
+      EXPECT_EQ(HashHex(core::Fnv1a64(manifest.Get("series").Dump())),
+                expected[i]->series);
+      std::remove(results[i].manifest_path.c_str());
+    }
   }
 }
 

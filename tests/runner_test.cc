@@ -117,6 +117,22 @@ TEST(Runner, DrainFinishesTailFlows) {
   EXPECT_GE(r.sim_time, cfg.duration);
 }
 
+TEST(Runner, DrainStopsAtItsCap) {
+  // Two 1 GB flows outlive any drain: the run ends exactly at
+  // duration * (1 + drain_factor), not at the next 1 ms drain step past it.
+  ExperimentConfig cfg;
+  cfg.topology = TopologyKind::kStar;
+  cfg.star.num_hosts = 3;
+  cfg.duration = sim::Us(300);
+  cfg.drain_factor = 0.5;
+  Experiment e(cfg);
+  e.AddFlow(e.hosts()[0], e.hosts()[2], 1'000'000'000, 0);
+  e.AddFlow(e.hosts()[1], e.hosts()[2], 1'000'000'000, 0);
+  const ExperimentResult r = e.Run();
+  EXPECT_EQ(r.sim_time, sim::Us(450));
+  EXPECT_EQ(r.flows_completed, 0u);
+}
+
 TEST(Runner, SeedsChangeWorkload) {
   auto run = [](uint64_t seed) {
     ExperimentConfig cfg;

@@ -436,6 +436,111 @@ TEST(Scenario, DcqcnTimersAndEcnThresholds) {
   }
 }
 
+TEST(Scenario, HpccDesignSwitches) {
+  const Scenario s = ParseScenarioText(R"({
+    "topology": {"kind": "star", "hosts": 3},
+    "cc": {"scheme": "hpcc", "use_min_qlen_filter": false, "use_ewma": false,
+           "use_div_table": true, "wire_format": true}
+  })");
+  EXPECT_FALSE(s.config.cc.hpcc.use_min_qlen_filter);
+  EXPECT_FALSE(s.config.cc.hpcc.use_ewma);
+  EXPECT_TRUE(s.config.cc.hpcc.use_div_table);
+  EXPECT_TRUE(s.config.cc.hpcc.wire_format);
+  const Json d = ScenarioToJson(s);
+  EXPECT_EQ(ScenarioToJson(ParseScenario(d)).Dump(), d.Dump());
+  // Each switch echoes only away from its default.
+  const Json one = ScenarioToJson(ParseScenarioText(
+      R"({"topology": {"kind": "star", "hosts": 3},
+          "cc": {"use_ewma": false, "wire_format": false}})"));
+  EXPECT_FALSE(one.Get("cc").Get("use_ewma").AsBool());
+  EXPECT_EQ(one.Get("cc").Find("wire_format"), nullptr);
+  const Json plain = ScenarioToJson(ParseScenarioText(kMinimal));
+  for (const char* key :
+       {"use_min_qlen_filter", "use_ewma", "use_div_table", "wire_format"}) {
+    EXPECT_EQ(plain.Get("cc").Find(key), nullptr) << key;
+  }
+  EXPECT_THROW(ParseScenarioText(R"({"topology": {"kind": "star"},
+                                     "cc": {"use_ewma": 0}})"),
+               JsonError);
+}
+
+TEST(Scenario, HybridRejectsHpccVariantsTheFluidMapDoesNotModel) {
+  // The fluid map is plain HPCC's per-RTT map; with a variant scheme the
+  // fluid flows would silently run it anyway.
+  for (const char* scheme :
+       {"hpcc-alpha", "hpcc-perack", "hpcc-perrtt", "hpcc-rxrate"}) {
+    Json doc = Json::Parse(
+        R"({"name": "x", "topology": {"kind": "fattree"},
+            "cc": {"scheme": "hpcc"},
+            "workload": {"load": 0.2, "flow_class": "fluid"},
+            "hybrid": {}})");
+    EXPECT_NO_THROW(ParseScenario(doc));
+    ApplySet(doc, std::string("cc.scheme=") + scheme);
+    try {
+      ParseScenario(doc);
+      ADD_FAILURE() << scheme << " accepted with a hybrid block";
+    } catch (const ScenarioError& e) {
+      EXPECT_NE(std::string(e.what()).find("cc.scheme"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Scenario, DrainFactorZeroStopsAtDuration) {
+  const Scenario s = ParseScenarioText(
+      R"({"topology": {"kind": "star", "hosts": 3}, "duration_ms": 0.3,
+          "drain_factor": 0})");
+  EXPECT_EQ(s.config.drain_factor, 0.0);
+  EXPECT_EQ(ScenarioToJson(s).Get("drain_factor").AsDouble(), 0.0);
+  EXPECT_THROW(ParseScenarioText(R"({"topology": {"kind": "star"},
+                                     "drain_factor": -1})"),
+               ScenarioError);
+}
+
+TEST(Scenario, StaticFlows) {
+  const std::string head =
+      R"({"name": "static", "topology": {"kind": "star", "hosts": 3},
+          "duration_ms": 0.3, "drain_factor": 0, "workload": {"flows": )";
+  const Scenario s = ParseScenarioText(
+      head + R"([{"start_us": 0, "src": 0, "dst": 2, "bytes": 5000},
+                 {"start_us": 12.5, "src": 1, "dst": 2, "bytes": 3000}]}})");
+  ASSERT_EQ(s.flows.size(), 2u);
+  EXPECT_EQ(s.flows[1].at, sim::Ns(12'500));
+  EXPECT_EQ(s.flows[1].src, 1u);
+  EXPECT_EQ(s.flows[1].bytes, 3000u);
+  const Json d = ScenarioToJson(s);
+  EXPECT_EQ(d.Get("workload").Get("flows").Dump(),
+            R"([{"start_us":0,"src":0,"dst":2,"bytes":5000},)"
+            R"({"start_us":12.5,"src":1,"dst":2,"bytes":3000}])");
+  EXPECT_EQ(ScenarioToJson(ParseScenario(d)).Dump(), d.Dump());
+  EXPECT_EQ(ScenarioToJson(ParseScenarioText(kMinimal))
+                .Get("workload")
+                .Find("flows"),
+            nullptr);
+
+  // The rows are the run's first flows, in row order, and they finish.
+  const SweepRunResult r = ScenarioRunner::RunOne(ExpandSweep(s).front());
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.result.flows_created, 2u);
+  EXPECT_EQ(r.result.flows_completed, 2u);
+
+  // trace_file row rules, plus the topology's host range.
+  for (const char* bad : {
+           R"([{"start_us": 0, "src": 1, "dst": 1, "bytes": 10}])",
+           R"([{"start_us": 0, "src": 0, "dst": 1, "bytes": 0}])",
+           R"([{"start_us": 0, "src": 0, "dst": 1, "bytes": -5}])",
+           R"([{"start_us": 5, "src": 0, "dst": 1, "bytes": 10},
+               {"start_us": 3, "src": 1, "dst": 0, "bytes": 10}])",
+           R"([{"start_us": 0, "src": 0, "dst": 3, "bytes": 10}])",
+           R"([{"start_us": -1, "src": 0, "dst": 1, "bytes": 10}])",
+           R"([{"start_us": 0, "src": 0, "dst": 1}])",
+           R"([{"start_us": 0, "src": 0, "dst": 1, "bytes": 10, "x": 1}])",
+           R"({"start_us": 0})",
+       }) {
+    EXPECT_ANY_THROW(ParseScenarioText(head + bad + "}}")) << bad;
+  }
+}
+
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;

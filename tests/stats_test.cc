@@ -160,13 +160,46 @@ TEST(FctRecorder, TableFormatsNonEmptyBins) {
   EXPECT_NE(table.find("all"), std::string::npos);
 }
 
-TEST(TimeSeries, StoresAndFormats) {
+TEST(TimeSeries, StoresAndSummarizesWindows) {
   TimeSeries ts;
   ts.Add(sim::Us(1), 10.0);
   ts.Add(sim::Us(2), 30.0);
-  EXPECT_EQ(ts.points().size(), 2u);
-  EXPECT_DOUBLE_EQ(ts.MaxValue(), 30.0);
-  EXPECT_FALSE(ts.Format().empty());
+  ts.Add(sim::Us(3), 20.0);
+  EXPECT_EQ(ts.points().size(), 3u);
+  // Windows are (from, to]: the sample at `from` belongs to the window
+  // before.
+  const PercentileTracker w = ts.Window(sim::Us(1), sim::Us(3));
+  EXPECT_EQ(w.Count(), 2u);
+  EXPECT_DOUBLE_EQ(w.Max(), 30.0);
+  EXPECT_DOUBLE_EQ(w.Mean(), 25.0);
+  EXPECT_DOUBLE_EQ(ts.Window(0, sim::Us(3)).Max(), 30.0);
+}
+
+TEST(TimeSeries, EmptyWindowReadsNaNNotZero) {
+  TimeSeries ts;
+  ts.Add(sim::Us(10), 5.0);
+  const PercentileTracker w = ts.Window(sim::Us(10), sim::Us(20));
+  EXPECT_EQ(w.Count(), 0u);
+  EXPECT_TRUE(std::isnan(w.Max()));
+  EXPECT_TRUE(std::isnan(w.Mean()));
+  EXPECT_TRUE(std::isnan(w.Percentile(95)));
+}
+
+TEST(TimeSeries, JainIndex) {
+  TimeSeries a;
+  TimeSeries b;
+  for (int i = 1; i <= 4; ++i) {
+    a.Add(sim::Us(i), 10.0);
+    b.Add(sim::Us(i), i <= 2 ? 0.0 : 10.0);
+  }
+  // Equal shares: 1. One flow idle over the window: 1/n.
+  EXPECT_DOUBLE_EQ(JainIndex({a, a}, sim::Us(2), sim::Us(4)), 1.0);
+  EXPECT_DOUBLE_EQ(JainIndex({a, b}, sim::Us(2), sim::Us(4)), 1.0);
+  EXPECT_DOUBLE_EQ(JainIndex({a, b}, 0, sim::Us(2)), 0.5);
+  // Undefined, never 0: all-zero series, an empty window, no series.
+  EXPECT_TRUE(std::isnan(JainIndex({b, b}, 0, sim::Us(2))));
+  EXPECT_TRUE(std::isnan(JainIndex({a, b}, sim::Us(4), sim::Us(9))));
+  EXPECT_TRUE(std::isnan(JainIndex({}, 0, sim::Us(4))));
 }
 
 TEST(TimeSeries, MaxPointsCapsViaStrideDoubling) {

@@ -283,5 +283,111 @@ TEST(Telemetry, ScenarioTelemetryBlockRoundTrips) {
                ScenarioError);
 }
 
+TEST(Telemetry, SeriesBlockParsesEchoesAndRejects) {
+  const std::string head = R"({
+    "name": "series",
+    "topology": {"kind": "star", "hosts": 3},
+    "duration_ms": 0.2,
+    "telemetry": {"manifest": true, "series": )";
+  const Scenario sc = ParseScenarioText(
+      head + R"({"queues": [2, 0], "flows": 2,
+                 "windows": [{"from_us": 50, "to_us": 200.5}]}}})");
+  const obs::SeriesConfig& s = sc.telemetry.series;
+  EXPECT_EQ(s.queues, (std::vector<size_t>{2, 0}));
+  EXPECT_EQ(s.flows, 2);
+  ASSERT_EQ(s.windows.size(), 1u);
+  EXPECT_EQ(s.windows[0].from, sim::Us(50));
+  EXPECT_EQ(s.windows[0].to, sim::Us(200) + sim::Ns(500));
+  const Json doc = ScenarioToJson(sc);
+  EXPECT_TRUE(ParseScenario(doc).telemetry == sc.telemetry);
+  EXPECT_EQ(ScenarioToJson(ParseScenario(doc)).Dump(), doc.Dump());
+  // Without a series block the echo carries no "series" key.
+  EXPECT_EQ(obs::TelemetryConfigToJson(obs::TelemetryConfig{}).Find("series"),
+            nullptr);
+
+  for (const char* bad : {
+           R"({}}})",                                  // declares nothing
+           R"({"queues": [-1]}}})",                    // negative link
+           R"({"queues": 2}}})",                       // not an array
+           R"({"flows": -1}}})",                       // negative count
+           // The series sample at telemetry.{queue,flow}_sample_us.
+           R"({"flows": 1, "flow_sample_us": 5}}})",
+           R"({"flows": 1, "windows": [{"from_us": 5, "to_us": 5}]}}})",
+           R"({"flows": 1, "windows": [{"from_us": -1, "to_us": 5}]}}})",
+           R"({"flows": 1, "windows": [{"from_us": 0}]}}})",
+           R"({"flows": 1, "window": []}}})",          // typo
+       }) {
+    EXPECT_THROW(ParseScenarioText(head + bad), ScenarioError) << bad;
+  }
+}
+
+TEST(Telemetry, SeriesReadoutIsNullNeverZeroWithoutSamples) {
+  obs::SeriesConfig sc;
+  sc.queues = {4};
+  sc.flows = 2;
+  sc.windows = {{0, sim::Us(30)}, {sim::Us(30), sim::Us(60)},
+                {sim::Us(100), sim::Us(200)}};
+  stats::TimeSeries queue;
+  stats::TimeSeries idle;  // a flow that never moved data
+  stats::TimeSeries aggregate;
+  for (int t = 10; t <= 60; t += 10) {
+    queue.Add(sim::Us(t), t <= 30 ? 0.0 : 2.0);
+    idle.Add(sim::Us(t), 0.0);
+    aggregate.Add(sim::Us(t), 0.0);
+  }
+  const Json j = obs::SeriesToJson(sc, {queue}, {idle, idle}, aggregate);
+  EXPECT_EQ(j.Get("queues").at(0).Get("link").AsInt(), 4);
+  EXPECT_EQ(j.Get("queue_t_us").size(), 6u);
+  EXPECT_EQ(j.Get("flows").size(), 2u);
+  const Json& w = j.Get("windows");
+  ASSERT_EQ(w.size(), 3u);
+  // A zero-valued queue window is a real 0; the all-zero flows have no
+  // Jain index.
+  EXPECT_EQ(w.at(0).Get("queues").at(0).Get("max").AsDouble(), 0.0);
+  EXPECT_TRUE(w.at(0).Get("jain").is_null());
+  EXPECT_EQ(w.at(1).Get("queues").at(0).Get("mean").AsDouble(), 2.0);
+  // A window past the last sample: every statistic null, count 0.
+  const Json& empty = w.at(2);
+  EXPECT_EQ(empty.Get("queues").at(0).Get("samples").AsInt(), 0);
+  for (const char* stat : {"max", "mean", "p50", "p95", "p99"}) {
+    EXPECT_TRUE(empty.Get("queues").at(0).Get(stat).is_null()) << stat;
+    EXPECT_TRUE(empty.Get("aggregate").Get(stat).is_null()) << stat;
+  }
+  EXPECT_TRUE(empty.Get("jain").is_null());
+}
+
+TEST(Telemetry, SeriesManifestIdenticalAcrossShardsWarmAndEngines) {
+  const Scenario sc = LoadScenarioFile(ScenarioPath("paper/fig13.json"));
+  ASSERT_FALSE(sc.telemetry.series.empty());
+  const std::vector<ScenarioRun> runs = ExpandSweep(sc);
+  auto run = [&](const std::string& base, int shards, bool warm,
+                 int fastpath) {
+    ScenarioRunnerOptions o;
+    o.jobs = 2;
+    o.manifest = true;
+    o.out_base = base;
+    o.shards_override = shards;
+    o.warm = warm;
+    o.fastpath_override = fastpath;
+    std::vector<std::string> manifests;
+    for (const SweepRunResult& r : ScenarioRunner(o).RunAll(runs)) {
+      EXPECT_TRUE(r.error.empty()) << r.error;
+      manifests.push_back(ReadFile(r.manifest_path));
+      std::remove(r.manifest_path.c_str());
+    }
+    return manifests;
+  };
+  const auto base = run("series_s1", 1, true, -1);
+  ASSERT_EQ(base.size(), runs.size());
+  for (const std::string& m : base) {
+    const Json j = Json::Parse(m);
+    EXPECT_EQ(j.Get("series").Get("queues").at(0).Get("kb").size(), 80u);
+    EXPECT_EQ(j.Get("series").Get("flows").size(), 16u);
+  }
+  EXPECT_EQ(run("series_s4", 4, true, -1), base);
+  EXPECT_EQ(run("series_cold", 1, false, -1), base);
+  EXPECT_EQ(run("series_ref", 1, true, 0), base);
+}
+
 }  // namespace
 }  // namespace hpcc::scenario
