@@ -440,9 +440,8 @@ void RecordFlight(const Json& doc, const FuzzOptions& options,
     std::fprintf(stderr, "    (flight record replay failed: %s)\n", ex.what());
   }
 
-  // A shard-equivalence failure triages by diffing the single-lane manifest
-  // above against the sharded run's view: record the shards=2 side too
-  // (manifest only — trace export forces one lane, see scenario/runner.cc).
+  // A shard-equivalence failure triages by diffing the single-lane artifacts
+  // above against the sharded run's: record the shards=2 side too.
   bool shard_mismatch = false;
   for (const Violation& v : rep->violations) {
     if (v.monitor == "shard-equivalence") shard_mismatch = true;
@@ -457,15 +456,17 @@ void RecordFlight(const Json& doc, const FuzzOptions& options,
     ro.shards_override = 2;
     obs::TelemetryConfig tcfg = run.scenario.telemetry;
     tcfg.manifest = true;
+    tcfg.trace = true;
     tcfg.profile = true;
     ro.telemetry = tcfg;
     ro.manifest_path = base + ".shards2.manifest.json";
+    ro.trace_path = base + ".shards2.trace.json";
     ro.event_budget = options.max_events > 0 ? options.max_events * 3 : 0;
     const scenario::SweepRunResult flight =
         scenario::ScenarioRunner::RunOne(run, ro);
-    if (!flight.manifest_path.empty()) {
-      std::fprintf(stderr, "    flight record (shards=2): %s\n",
-                   flight.manifest_path.c_str());
+    if (!flight.manifest_path.empty() || !flight.trace_path.empty()) {
+      std::fprintf(stderr, "    flight record (shards=2): %s %s\n",
+                   flight.manifest_path.c_str(), flight.trace_path.c_str());
     }
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "    (shards=2 flight record replay failed: %s)\n",
@@ -473,11 +474,11 @@ void RecordFlight(const Json& doc, const FuzzOptions& options,
   }
 }
 
-// One warm-equivalence replay: runs `doc` through RunOne with the shared
-// snapshot/checkpoint caches attached (no monitors, no event budget — warm
-// capture is ineligible under either, and the scenario already ran clean
-// twice within budget). Returns the golden-trace hash plus whether this
-// replay built or restored the checkpoint.
+// One warm-equivalence replay: runs `doc` on `shards` lanes through RunOne
+// with the shared snapshot/checkpoint caches attached (no monitors, no event
+// budget — warm capture is ineligible under either, and the scenario
+// already ran clean twice within budget). Returns the golden-trace hash plus
+// whether this replay built or restored the checkpoint.
 struct WarmReplay {
   uint64_t trace_hash = 0;
   bool built = false;
@@ -485,7 +486,7 @@ struct WarmReplay {
   std::string error;
 };
 
-WarmReplay ReplayWarm(const Json& doc,
+WarmReplay ReplayWarm(const Json& doc, int shards,
                       const std::shared_ptr<scenario::FabricCache>& fabrics,
                       const std::shared_ptr<scenario::WarmCache>& warms) {
   WarmReplay out;
@@ -495,6 +496,7 @@ WarmReplay ReplayWarm(const Json& doc,
     run.label = run.scenario.name;
     scenario::RunOneOptions ro;
     ro.warm = true;
+    ro.shards_override = shards;
     ro.fabric_cache = fabrics;
     ro.warm_cache = warms;
     const scenario::SweepRunResult r =
@@ -647,37 +649,41 @@ int FuzzMain(const FuzzOptions& options, const MonitorInstaller& extra) {
     }
     if (rep.ok() && options.check_warm) {
       // Equivalence pin for warm-start sweeps: inject a checkpoint instant at
-      // ~40% of the horizon and replay twice through one shared cache. The
-      // first replay either captures the checkpoint or (not quiescent at T,
-      // pre-T link flap, ...) publishes a cold fallback; the second restores
-      // or re-runs cold. Either way both hashes must match the cold run —
-      // warm-start must never change a single output byte.
+      // ~40% of the horizon and replay twice through one shared cache, on
+      // one lane and on two. The first replay of a pair either captures the
+      // checkpoint or (not quiescent at T, pre-T link flap, ...) publishes a
+      // cold fallback; the second restores or re-runs cold. Either way every
+      // hash must match the cold run — warm-start must never change a single
+      // output byte.
       Json warm_doc = doc;
       const double duration_us = doc.Find("duration_ms")->AsDouble() * 1000.0;
       Json ws = Json::MakeObject();
       ws.Set("until_us", Num(Round2(duration_us * 0.4)));
       warm_doc.Set("warm_start", std::move(ws));
-      auto fabrics = std::make_shared<scenario::FabricCache>();
-      auto warms = std::make_shared<scenario::WarmCache>();
-      const WarmReplay first = ReplayWarm(warm_doc, fabrics, warms);
-      const WarmReplay second = ReplayWarm(warm_doc, fabrics, warms);
-      for (const WarmReplay* w : {&first, &second}) {
-        const char* which = w == &first ? "first" : "second";
-        if (!w->error.empty()) {
-          rep.violations.push_back(Violation{
-              "warm-equivalence",
-              std::string(which) + " warm_start replay failed: " + w->error,
-              0});
-          ++rep.violation_count;
-        } else if (w->trace_hash != rep.trace_hash) {
-          rep.violations.push_back(Violation{
-              "warm-equivalence",
-              std::string(which) + " warm_start replay (" +
-                  (w->restored ? "restored checkpoint"
-                               : w->built ? "built checkpoint" : "cold") +
-                  ") produced a different golden-trace hash",
-              0});
-          ++rep.violation_count;
+      for (int shards : {1, 2}) {
+        auto fabrics = std::make_shared<scenario::FabricCache>();
+        auto warms = std::make_shared<scenario::WarmCache>();
+        const WarmReplay first = ReplayWarm(warm_doc, shards, fabrics, warms);
+        const WarmReplay second = ReplayWarm(warm_doc, shards, fabrics, warms);
+        for (const WarmReplay* w : {&first, &second}) {
+          const std::string which =
+              std::string(w == &first ? "first" : "second") +
+              " shards=" + std::to_string(shards);
+          if (!w->error.empty()) {
+            rep.violations.push_back(Violation{
+                "warm-equivalence",
+                which + " warm_start replay failed: " + w->error, 0});
+            ++rep.violation_count;
+          } else if (w->trace_hash != rep.trace_hash) {
+            rep.violations.push_back(Violation{
+                "warm-equivalence",
+                which + " warm_start replay (" +
+                    (w->restored ? "restored checkpoint"
+                                 : w->built ? "built checkpoint" : "cold") +
+                    ") produced a different golden-trace hash",
+                0});
+            ++rep.violation_count;
+          }
         }
       }
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "analytic/fluid_region.h"
 #include "core/int_header.h"
 #include "host/flow.h"
 #include "net/packet.h"
@@ -161,7 +162,8 @@ TelemetryCounters TelemetrySession::counters() const {
 namespace {
 
 sim::TimePs SampleInterval(double us) {
-  return std::max<sim::TimePs>(1, static_cast<sim::TimePs>(us * sim::kPsPerUs));
+  return std::max<sim::TimePs>(
+      1, sim::RoundToPs(us, static_cast<double>(sim::kPsPerUs)));
 }
 
 }  // namespace
@@ -185,13 +187,13 @@ void TelemetrySession::Start() {
         trace_queues_.queues.push_back(std::move(qp));
       }
     }
-    Schedule(&trace_queues_);
+    Arm(&trace_queues_);
   }
   if (cfg_.trace && cfg_.flow_tracks > 0 && cfg_.flow_sample_us > 0) {
     trace_flows_.interval = SampleInterval(cfg_.flow_sample_us);
     trace_flows_.max_flows = static_cast<size_t>(cfg_.flow_tracks);
     trace_flows_.flow_points = static_cast<size_t>(cfg_.flow_track_points);
-    Schedule(&trace_flows_);
+    Arm(&trace_flows_);
   }
   const SeriesConfig& sc = cfg_.series;
   if (!sc.queues.empty()) {
@@ -210,25 +212,53 @@ void TelemetrySession::Start() {
       qp.port = links[link].port_b;
       series_queues_.queues.push_back(std::move(qp));
     }
-    Schedule(&series_queues_);
+    Arm(&series_queues_);
   }
   if (sc.flows > 0) {
     series_flows_.interval = SampleInterval(cfg_.flow_sample_us);
     series_flows_.dense = true;
     series_flows_.max_flows = static_cast<size_t>(sc.flows);
-    series_flows_.flows.resize(series_flows_.max_flows);
-    Schedule(&series_flows_);
+    Arm(&series_flows_);
   }
 }
 
-void TelemetrySession::Schedule(Sampler* s) {
-  experiment_->simulator().ScheduleIn(s->interval, [this, s] { Tick(s); });
+void TelemetrySession::Arm(Sampler* s) {
+  // Probes live at fixed addresses from here on: lanes write their own
+  // concurrently.
+  s->flows.resize(s->max_flows);
+  s->lanes.resize(static_cast<size_t>(experiment_->shards()));
+  const std::vector<int>& lane_of = experiment_->partition().lane_of_node;
+  for (size_t i = 0; i < s->queues.size(); ++i) {
+    s->lanes[static_cast<size_t>(lane_of[s->queues[i].node])].queues.push_back(
+        i);
+  }
+  for (int lane = 0; lane < experiment_->shards(); ++lane) Schedule(s, lane);
 }
 
-void TelemetrySession::Tick(Sampler* s) {
-  const sim::TimePs now = experiment_->simulator().now();
+void TelemetrySession::Schedule(Sampler* s, int lane) {
+  experiment_->lane_simulator(lane).ScheduleIn(
+      s->interval, [this, s, lane] { Tick(s, lane); });
+}
+
+size_t TelemetrySession::PacketOrdinal(uint64_t flow_id) const {
+  size_t fluid_before = 0;
+  if (const analytic::FluidRegion* fluid = experiment_->fluid_region()) {
+    const auto& recs = fluid->flows();
+    fluid_before = static_cast<size_t>(
+        std::lower_bound(recs.begin(), recs.end(), flow_id,
+                         [](const analytic::FluidRegion::FlowRecord& r,
+                            uint64_t id) { return r.id < id; }) -
+        recs.begin());
+  }
+  return static_cast<size_t>(flow_id - 1) - fluid_before;
+}
+
+void TelemetrySession::Tick(Sampler* s, int lane) {
+  const sim::TimePs now = experiment_->lane_simulator(lane).now();
   topo::Topology& topo = experiment_->topology();
-  for (QueueProbe& qp : s->queues) {
+  LaneProbes& mine = s->lanes[static_cast<size_t>(lane)];
+  for (size_t qi : mine.queues) {
+    QueueProbe& qp = s->queues[qi];
     const int64_t q = topo.node(qp.node).port(qp.port).queue_bytes(
         net::kDataPriority);
     if (!s->dense) {
@@ -243,38 +273,40 @@ void TelemetrySession::Tick(Sampler* s) {
     qp.series.Add(now, static_cast<double>(q) / 1000.0);
   }
 
-  const std::vector<host::Flow*>& flows = experiment_->flows();
-  // Sparse: adopt newly created flows (creation order) until the budget
-  // fills. A flow is adopted at the first tick after its creation, so its
-  // first sample counts every byte acked since it started.
-  while (!s->dense &&
-         s->flows.size() < std::min(flows.size(), s->max_flows)) {
-    FlowProbe fp;
-    fp.series.set_max_points(s->flow_points);
-    s->flows.push_back(std::move(fp));
+  // Adopt the lane's new flows among the first max_flows. A flow is
+  // adopted at the first tick after its creation, so its first sample
+  // counts every byte acked since it started.
+  const std::vector<host::Flow*>& flows = experiment_->lane_flows(lane);
+  for (; s->max_flows > 0 && mine.scanned < flows.size(); ++mine.scanned) {
+    const host::Flow* f = flows[mine.scanned];
+    const size_t slot = PacketOrdinal(f->spec().id);
+    if (slot >= s->max_flows) continue;
+    FlowProbe& fp = s->flows[slot];
+    fp.flow_id = f->spec().id;
+    fp.adopted = true;
+    if (!s->dense) fp.series.set_max_points(s->flow_points);
+    mine.flows.emplace_back(slot, f);
   }
   const double interval_sec = sim::ToSec(s->interval);
-  double sum = 0;
-  for (size_t i = 0; i < s->flows.size(); ++i) {
-    FlowProbe& fp = s->flows[i];
-    double gbps = 0;
-    if (i < flows.size()) {
-      const host::Flow* f = flows[i];
-      fp.flow_id = f->spec().id;
-      const uint64_t acked = std::min(f->snd_una, f->spec().size_bytes);
-      gbps = static_cast<double>(acked - fp.last_acked) * 8.0 /
-             interval_sec / 1e9;
-      fp.last_acked = acked;
+  for (const auto& [slot, f] : mine.flows) {
+    FlowProbe& fp = s->flows[slot];
+    const uint64_t acked = std::min(f->snd_una, f->spec().size_bytes);
+    const double gbps =
+        static_cast<double>(acked - fp.last_acked) * 8.0 / interval_sec / 1e9;
+    fp.last_acked = acked;
+    if (s->dense) {
+      fp.gbps.resize(mine.ticks + 1, 0.0);
+      fp.gbps[mine.ticks] = gbps;
+    } else if (gbps != 0 || (!f->done && !fp.series.empty())) {
       // Sparse tracks suppress flat zero tails after completion (and
       // before the first byte).
-      if (!s->dense && gbps == 0 && (f->done || fp.series.empty())) continue;
+      fp.series.Add(now, gbps);
     }
-    fp.series.Add(now, gbps);
-    sum += gbps;
   }
-  if (s->dense && !s->flows.empty()) s->aggregate.Add(now, sum);
+  if (s->dense && s->max_flows > 0 && lane == 0) s->tick_times.push_back(now);
+  ++mine.ticks;
 
-  if (now + s->interval <= until_) Schedule(s);
+  if (now + s->interval <= until_) Schedule(s, lane);
 }
 
 std::vector<TelemetryTrack> TelemetrySession::TopQueueTracks() const {
@@ -307,8 +339,8 @@ std::vector<TelemetryTrack> TelemetrySession::TopQueueTracks() const {
 
 std::vector<TelemetryTrack> TelemetrySession::FlowTracks() const {
   std::vector<TelemetryTrack> out;
-  out.reserve(trace_flows_.flows.size());
   for (const FlowProbe& fp : trace_flows_.flows) {
+    if (!fp.adopted) continue;
     TelemetryTrack t;
     t.name = "flow " + std::to_string(fp.flow_id);
     t.unit = "Gbps";
@@ -318,6 +350,29 @@ std::vector<TelemetryTrack> TelemetrySession::FlowTracks() const {
   return out;
 }
 
+std::vector<TelemetryTrack> TelemetrySession::MergedIntTracks(
+    const std::vector<TelemetryTrack>& (TelemetryRecorder::*tracks)()
+        const) const {
+  // A flow's INT echoes all reach its source host, so at most one lane's
+  // recorder holds points for each track.
+  std::vector<TelemetryTrack> out = (recorder_->*tracks)();
+  for (const TelemetryRecorder* r : recorders_) {
+    const std::vector<TelemetryTrack>& lane = (r->*tracks)();
+    for (size_t i = 0; i < out.size(); ++i) {
+      if (!lane[i].series.empty()) out[i] = lane[i];
+    }
+  }
+  return out;
+}
+
+std::vector<TelemetryTrack> TelemetrySession::IntQlenTracks() const {
+  return MergedIntTracks(&TelemetryRecorder::int_qlen_tracks);
+}
+
+std::vector<TelemetryTrack> TelemetrySession::IntUtilTracks() const {
+  return MergedIntTracks(&TelemetryRecorder::int_util_tracks);
+}
+
 std::vector<stats::TimeSeries> TelemetrySession::SeriesQueues() const {
   std::vector<stats::TimeSeries> out;
   for (const QueueProbe& qp : series_queues_.queues) out.push_back(qp.series);
@@ -325,9 +380,28 @@ std::vector<stats::TimeSeries> TelemetrySession::SeriesQueues() const {
 }
 
 std::vector<stats::TimeSeries> TelemetrySession::SeriesFlows() const {
-  std::vector<stats::TimeSeries> out;
-  for (const FlowProbe& fp : series_flows_.flows) out.push_back(fp.series);
+  // A flow reads 0 at the ticks before it exists.
+  const std::vector<sim::TimePs>& ticks = series_flows_.tick_times;
+  std::vector<stats::TimeSeries> out(series_flows_.flows.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    const std::vector<double>& gbps = series_flows_.flows[i].gbps;
+    for (size_t j = 0; j < ticks.size(); ++j) {
+      out[i].Add(ticks[j], j < gbps.size() ? gbps[j] : 0.0);
+    }
+  }
   return out;
+}
+
+stats::TimeSeries TelemetrySession::SeriesAggregate() const {
+  stats::TimeSeries sum;
+  if (series_flows_.flows.empty()) return sum;
+  const std::vector<stats::TimeSeries> flows = SeriesFlows();
+  for (size_t j = 0; j < series_flows_.tick_times.size(); ++j) {
+    double total = 0;
+    for (const stats::TimeSeries& f : flows) total += f.points()[j].second;
+    sum.Add(series_flows_.tick_times[j], total);
+  }
+  return sum;
 }
 
 }  // namespace hpcc::obs

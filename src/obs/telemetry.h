@@ -12,7 +12,8 @@
 //
 // Determinism contract (tested by tests/telemetry_test.cc): everything the
 // recorder and samplers collect — counter totals, sampled queue depths and
-// flow rates, INT echoes — is identical across --jobs and --fastpath=on/off.
+// flow rates, INT echoes — is identical across --jobs, --shards and
+// --fastpath=on/off.
 // Counter totals are order-independent sums over the same packet stream;
 // sampled tracks read state (queue_bytes, snd_una) at fixed sim times, and
 // that state is already pinned engine-equal by the byte-identical CSV
@@ -28,6 +29,9 @@
 #include "sim/time.h"
 #include "stats/timeseries.h"
 
+namespace hpcc::host {
+class Flow;
+}
 namespace hpcc::runner {
 class Experiment;
 }
@@ -177,17 +181,26 @@ class TelemetryRecorder final : public check::InvariantMonitor {
 };
 
 // Owns the telemetry machinery for one experiment run: adds a
-// TelemetryRecorder to the registry (which owns it) and, when the trace's
-// tracks or declared series are requested, schedules fixed-interval samplers
-// for queue depth and per-flow rate. Samplers are read-only: a run with
-// telemetry on produces the exact CSV a run with telemetry off does.
+// TelemetryRecorder to each lane's registry (which owns it) and, when the
+// trace's tracks or declared series are requested, schedules fixed-interval
+// samplers for queue depth and per-flow rate. Samplers are read-only: a run
+// with telemetry on produces the exact CSV a run with telemetry off does.
+//
+// Lanes: every lane ticks each sampler on its own simulator at the same sim
+// times and samples only the probes it owns — a queue by its node's lane, a
+// flow by its source host's lane — so no tick reads another lane's state.
+// The readouts merge the lanes by order-independent keys (queue node/port,
+// flow creation ordinal, INT flow id); the dense flow aggregate is summed at
+// readout in flow order, the order one lane sums it in. What a tick reads
+// (switch queue depth, a flow's snd_una) changes only in boundary and
+// arrival events, which run before any same-time sampler tick, so every
+// lane count samples the same values.
 class TelemetrySession {
  public:
   TelemetrySession(const TelemetryConfig& cfg, check::MonitorRegistry* registry,
                    runner::Experiment* experiment);
   // Lane variant: one recorder per lane registry. Counter totals are summed
-  // over the lanes by counters(); the samplers read lane 0 only, so the
-  // scenario runner forces shards=1 whenever a trace or series is sampled.
+  // over the lanes by counters().
   TelemetrySession(const TelemetryConfig& cfg,
                    const std::vector<check::MonitorRegistry*>& registries,
                    runner::Experiment* experiment);
@@ -203,8 +216,8 @@ class TelemetrySession {
   // single-registry session). Plain sums, so the aggregate is byte-equal to
   // the one-lane totals whatever the shard count.
   TelemetryCounters counters() const;
-  // Warm restore (single-lane sessions only — warm checkpoints force
-  // shards=1): seeds the recorder with the checkpoint's counter baseline.
+  // Warm restore: seeds the first recorder with the checkpoint's counter
+  // baseline (the lane totals sum, so one lane carries it).
   void RestoreCounters(const TelemetryCounters& c) {
     recorder_->set_counters(c);
   }
@@ -215,17 +228,20 @@ class TelemetrySession {
   // The trace's rate tracks: one per adopted flow, the first `flow_tracks`
   // in creation order.
   std::vector<TelemetryTrack> FlowTracks() const;
+  // The INT flight-recorder tracks (flow ids 1..int_tracks), each taken
+  // from the lane that echoed its flow's INT stacks.
+  std::vector<TelemetryTrack> IntQlenTracks() const;
+  std::vector<TelemetryTrack> IntUtilTracks() const;
 
   // The declared series (telemetry.series) as sampled: one per declared
   // queue link (kB), one per tracked flow (Gbps), and the flows' per-tick
   // sum. Empty when no series is declared.
   std::vector<stats::TimeSeries> SeriesQueues() const;
   std::vector<stats::TimeSeries> SeriesFlows() const;
-  const stats::TimeSeries& SeriesAggregate() const {
-    return series_flows_.aggregate;
-  }
+  stats::TimeSeries SeriesAggregate() const;
 
  private:
+  // Each probe is written only by the lane that owns it.
   struct QueueProbe {
     uint32_t node = 0;
     int port = 0;
@@ -234,8 +250,17 @@ class TelemetrySession {
   };
   struct FlowProbe {
     uint64_t flow_id = 0;  // 0 until the flow exists
+    bool adopted = false;
     uint64_t last_acked = 0;
-    stats::TimeSeries series;  // Gbps
+    stats::TimeSeries series;  // sparse: Gbps
+    std::vector<double> gbps;  // dense: Gbps per tick, up to the last sampled
+  };
+  // One lane's share of a sampler.
+  struct LaneProbes {
+    std::vector<size_t> queues;  // indices of the lane's queue probes
+    size_t scanned = 0;          // lane flows already matched to a probe
+    std::vector<std::pair<size_t, const host::Flow*>> flows;  // (probe, flow)
+    size_t ticks = 0;
   };
   // One fixed-interval sampling schedule. The trace's tracks and the
   // declared series run the same Tick and differ only in `dense`: a dense
@@ -246,16 +271,26 @@ class TelemetrySession {
     sim::TimePs interval = 0;
     bool dense = false;
     std::vector<QueueProbe> queues;
-    // Probes for the first `max_flows` flows in creation order: created up
-    // front when dense, adopted as the flows appear when sparse.
+    // Probes for the first `max_flows` packet flows in creation order,
+    // adopted by the owning lane as the flows appear.
     size_t max_flows = 0;
-    size_t flow_points = 0;  // per-track cap of adopted sparse tracks
+    size_t flow_points = 0;  // per-track cap of sparse tracks
     std::vector<FlowProbe> flows;
-    stats::TimeSeries aggregate;  // dense: sum over the flows per tick
+    std::vector<LaneProbes> lanes;
+    std::vector<sim::TimePs> tick_times;  // dense flows: lane 0's ticks
   };
 
-  void Schedule(Sampler* s);
-  void Tick(Sampler* s);
+  // Sizes `s` for `max_flows` probes, assigns the queue probes to their
+  // lanes and schedules the first tick on every lane.
+  void Arm(Sampler* s);
+  void Schedule(Sampler* s, int lane);
+  void Tick(Sampler* s, int lane);
+  // A packet flow's place in creation order: ids count packet and fluid
+  // flows alike (fluid ones exist only on single-lane hybrid runs).
+  size_t PacketOrdinal(uint64_t flow_id) const;
+  std::vector<TelemetryTrack> MergedIntTracks(
+      const std::vector<TelemetryTrack>& (TelemetryRecorder::*tracks)()
+          const) const;
 
   TelemetryConfig cfg_;
   runner::Experiment* experiment_;

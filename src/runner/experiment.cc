@@ -278,6 +278,7 @@ void Experiment::SetupLanes() {
     Lane& lane = *lanes_[i];
     lane.fct = MakeFctRecorder();
     lane.pfc = std::make_unique<stats::PfcMonitor>();
+    lane.pfc->set_clock(lane.sim.get());
     lane.pfc->AttachTo(*topology_, lane.nodes);
     lane.queue_monitor = std::make_unique<stats::QueueMonitor>(
         lane.sim.get(), topology_.get(), config_.queue_sample_interval);
@@ -330,26 +331,30 @@ host::Flow* Experiment::AddFlowOnLane(int lane, uint32_t src, uint32_t dst,
   const uint64_t id = L.next_flow_id++;  // consumed whether owned or not
   if (partition_.lane_of_node[src] != lane) return nullptr;
 
-  host::HostNode& h = topology_->host(src);
   host::FlowSpec spec;
   spec.id = id;
   spec.src = src;
   spec.dst = dst;
   spec.size_bytes = bytes;
   spec.start_time = start;
+  std::unique_ptr<host::Flow> flow = NewFlow(L, spec);
+  host::Flow* raw = flow.get();
+  topology_->host(src).AddFlow(std::move(flow));
+  return raw;
+}
 
+std::unique_ptr<host::Flow> Experiment::NewFlow(Lane& L,
+                                                const host::FlowSpec& spec) {
+  const host::HostNode& h = topology_->host(spec.src);
   cc::CcContext ctx;
   ctx.nic_bps = h.port(0).bandwidth_bps();
   ctx.base_rtt = base_rtt_;
   ctx.mtu_bytes = h.config().mtu_bytes;
   ctx.simulator = L.sim.get();
-
   auto flow = std::make_unique<host::Flow>(spec, cc::MakeCc(config_.cc, ctx),
                                            config_.recovery);
-  host::Flow* raw = flow.get();
-  h.AddFlow(std::move(flow));
-  L.flow_ptrs.push_back(raw);
-  return raw;
+  L.flow_ptrs.push_back(flow.get());
+  return flow;
 }
 
 void Experiment::AddWorkloadFlow(workload::FlowClass flow_class, int lane,
@@ -395,38 +400,31 @@ void Experiment::InstallLinkEvent(sim::TimePs at, size_t link, bool up) {
 
 host::Flow* Experiment::AddReadFlow(uint32_t requester, uint32_t responder,
                                     uint64_t bytes, sim::TimePs start) {
-  if (shards() > 1) {
-    throw std::logic_error("read flows require shards=1");
-  }
   if (requester == responder) {
     throw std::invalid_argument("read requester == responder");
   }
-  Lane& L = *lanes_[0];
-  host::HostNode& resp = topology_->host(responder);
   host::FlowSpec spec;
-  spec.id = L.next_flow_id++;
   spec.src = responder;  // data flows responder -> requester
   spec.dst = requester;
   spec.size_bytes = bytes;
   spec.start_time = start;
-
-  cc::CcContext ctx;
-  ctx.nic_bps = resp.port(0).bandwidth_bps();
-  ctx.base_rtt = base_rtt_;
-  ctx.mtu_bytes = resp.config().mtu_bytes;
-  ctx.simulator = L.sim.get();
-
-  auto flow = std::make_unique<host::Flow>(spec, cc::MakeCc(config_.cc, ctx),
-                                           config_.recovery);
-  host::Flow* raw = flow.get();
-  resp.AddPendingFlow(std::move(flow));
-  L.flow_ptrs.push_back(raw);
-
-  const uint64_t id = spec.id;
-  L.sim->ScheduleAt(start, [this, requester, responder, id]() {
-    topology_->host(requester).SendReadRequest(id, responder);
-  });
-  return raw;
+  host::Flow* out = nullptr;
+  for (int i = 0; i < shards(); ++i) {
+    Lane& L = *lanes_[i];
+    spec.id = L.next_flow_id++;  // consumed whether owned or not
+    if (partition_.lane_of_node[responder] == i) {
+      std::unique_ptr<host::Flow> flow = NewFlow(L, spec);
+      out = flow.get();
+      topology_->host(responder).AddPendingFlow(std::move(flow));
+    }
+    if (partition_.lane_of_node[requester] == i) {
+      const uint64_t id = spec.id;
+      L.sim->ScheduleAt(start, [this, requester, responder, id]() {
+        topology_->host(requester).SendReadRequest(id, responder);
+      });
+    }
+  }
+  return out;
 }
 
 void Experiment::set_event_budget(uint64_t max_total_events) {
@@ -463,6 +461,25 @@ std::vector<const host::Flow*> Experiment::AllFlows() const {
   for (const auto& lp : lanes_) {
     out.insert(out.end(), lp->flow_ptrs.begin(), lp->flow_ptrs.end());
   }
+  std::sort(out.begin(), out.end(), [](const host::Flow* a, const host::Flow* b) {
+    return a->spec().id < b->spec().id;
+  });
+  return out;
+}
+
+std::vector<stats::PfcMonitor::PauseEvent> Experiment::PauseLog() const {
+  // Each lane's log is already in that order, so a stable sort of the
+  // concatenation is the merge (and the identity on one lane).
+  std::vector<stats::PfcMonitor::PauseEvent> out;
+  for (const auto& lp : lanes_) {
+    out.insert(out.end(), lp->pfc->events().begin(), lp->pfc->events().end());
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const stats::PfcMonitor::PauseEvent& a,
+                      const stats::PfcMonitor::PauseEvent& b) {
+                     return a.start != b.start ? a.start < b.start
+                                               : a.order < b.order;
+                   });
   return out;
 }
 
@@ -486,7 +503,7 @@ void Experiment::DrainInbound(Lane& lane, sim::TimePs horizon) {
   }
 }
 
-void Experiment::RunLanes(sim::TimePs until) {
+void Experiment::RunLanes(sim::TimePs until, bool inclusive) {
   const int n = shards();
   constexpr size_t kNoMark = std::numeric_limits<size_t>::max();
   struct Round {
@@ -503,7 +520,8 @@ void Experiment::RunLanes(sim::TimePs until) {
     sim::TimePs t = until;
     round.mark = kNoMark;
     if (script_next_ < script_order_.size() &&
-        script_[script_order_[script_next_]].at <= t) {
+        (script_[script_order_[script_next_]].at < t ||
+         (inclusive && script_[script_order_[script_next_]].at == t))) {
       round.mark = script_order_[script_next_];
       t = script_[round.mark].at;
     }
@@ -550,9 +568,12 @@ void Experiment::RunLanes(sim::TimePs until) {
   auto lane_loop = [&](int li) {
     Lane& lane = *lanes_[li];
     for (;;) {
-      const uint64_t bound =
-          round.mark != kNoMark ? lane.marks[round.mark].seq
-                                : std::numeric_limits<uint64_t>::max();
+      uint64_t bound = std::numeric_limits<uint64_t>::max();
+      if (round.mark != kNoMark) {
+        bound = lane.marks[round.mark].seq;
+      } else if (!inclusive && round.target == until) {
+        bound = 0;
+      }
       DrainInbound(lane, round.target);
       lane.sim->Run(round.target, bound);
       sync.arrive_and_wait();
@@ -577,6 +598,11 @@ void Experiment::StartQueueMonitors() {
 void Experiment::RunUntil(sim::TimePs until) {
   StartQueueMonitors();
   RunLanes(until);
+}
+
+void Experiment::RunBefore(sim::TimePs until) {
+  StartQueueMonitors();
+  RunLanes(until, /*inclusive=*/false);
 }
 
 ExperimentResult Experiment::Run() {
@@ -620,13 +646,9 @@ ExperimentResult Experiment::FinishRun() {
 }
 
 bool Experiment::QuiescentForWarmCheckpoint() {
-  if (shards() > 1) return false;
   // Hybrid runs are always cold: the fluid engine's continuous link/window
   // state has no warm capture surface.
   if (fluid_ != nullptr) return false;
-  const Lane& L = *lanes_[0];
-  // Every created flow fully delivered and acknowledged.
-  if (L.flows_completed != L.flow_ptrs.size()) return false;
   // Every egress queue empty and every fast-path train settled; no pacing
   // wake armed anywhere (see HostNode::pending_wake_count).
   const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
@@ -640,38 +662,59 @@ bool Experiment::QuiescentForWarmCheckpoint() {
   for (uint32_t h : hosts_) {
     if (topology_->host(h).pending_wake_count() != 0) return false;
   }
-  if (L.pfc->has_open_pauses()) return false;
-  // Every pending event must be accounted for: the marks of link-script
-  // events not yet applied, the sources' self-schedules, and the
-  // queue-monitor tick. Anything else — an RTO, a CC timer — means live
-  // protocol state we cannot capture. (A mark that ran without its event
-  // being applied only inflates the count, which reads as non-quiescent.)
-  size_t expected = script_order_.size() - script_next_;
-  for (const auto& src : L.sources) {
-    if (src->warm_pending()) ++expected;
+  for (const auto& lp : lanes_) {
+    const Lane& L = *lp;
+    // Every created flow fully delivered and acknowledged.
+    if (L.flows_completed != L.flow_ptrs.size()) return false;
+    if (L.pfc->has_open_pauses()) return false;
+    // A cross-lane packet in flight sits in a channel, not in an arena.
+    for (const Lane::Inbound& in : L.inbound) {
+      sim::TimePs at = 0;
+      if (in.channel->PeekArrival(&at)) return false;
+    }
+    // Every pending event must be accounted for: the marks of link-script
+    // events not yet applied, the sources' self-schedules, and the
+    // queue-monitor tick. Anything else — an RTO, a CC timer — means live
+    // protocol state we cannot capture. (A mark that ran without its event
+    // being applied only inflates the count, which reads as non-quiescent.)
+    size_t expected = script_order_.size() - script_next_;
+    for (const auto& src : L.sources) {
+      if (src->warm_pending()) ++expected;
+    }
+    if (L.queue_monitor->tick_pending()) ++expected;
+    if (L.sim->pending_events() != expected) return false;
   }
-  if (L.queue_monitor->tick_pending()) ++expected;
-  return L.sim->pending_events() == expected;
+  return true;
 }
 
 std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() {
-  const Lane& L = *lanes_[0];
   auto w = std::make_unique<WarmState>();
-  const sim::TimePs now = L.sim->now();
-  w->now = now;
-  w->next_schedule_seq = L.sim->next_schedule_seq();
-  w->events_executed = L.sim->events_executed();
-  w->next_flow_id = L.next_flow_id;
-  w->flows.reserve(L.flow_ptrs.size());
-  for (const host::Flow* f : L.flow_ptrs) {
-    const host::FlowSpec& s = f->spec();
-    w->flows.push_back({s.id, s.src, s.dst, s.size_bytes, s.start_time,
-                        f->finish_time, f->done});
+  for (const auto& lp : lanes_) {
+    const Lane& L = *lp;
+    LaneWarmState& lw = w->lanes.emplace_back();
+    const sim::TimePs now = L.sim->now();
+    lw.now = now;
+    lw.next_schedule_seq = L.sim->next_schedule_seq();
+    lw.events_executed = L.sim->events_executed();
+    lw.next_flow_id = L.next_flow_id;
+    lw.flows.reserve(L.flow_ptrs.size());
+    for (const host::Flow* f : L.flow_ptrs) {
+      const host::FlowSpec& s = f->spec();
+      lw.flows.push_back({s.id, s.src, s.dst, s.size_bytes, s.start_time,
+                          f->finish_time, f->done});
+    }
+    lw.fct = std::make_unique<stats::FctRecorder>(*L.fct);
+    lw.short_fct_us = L.short_fct_us;
+    lw.queue = L.queue_monitor->CaptureWarm();
+    lw.pfc = L.pfc->CaptureWarm();
+    lw.sources.resize(L.sources.size());
+    for (size_t i = 0; i < L.sources.size(); ++i) {
+      if (L.sources[i]->first_activity() < now) {
+        lw.sources[i] = L.sources[i]->CaptureWarm();
+      }
+    }
+    lw.background_flows = L.background_flows;
   }
-  w->fct = std::make_unique<stats::FctRecorder>(*L.fct);
-  w->short_fct_us = L.short_fct_us;
-  w->queue = L.queue_monitor->CaptureWarm();
-  w->pfc = L.pfc->CaptureWarm();
   for (uint32_t s : topology_->switches()) {
     w->switches.push_back(topology_->switch_node(s).CaptureWarm());
   }
@@ -685,27 +728,24 @@ std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() {
   for (uint32_t h : hosts_) {
     w->hosts.push_back(topology_->host(h).CaptureWarm());
   }
-  w->sources.resize(L.sources.size());
-  for (size_t i = 0; i < L.sources.size(); ++i) {
-    if (L.sources[i]->first_activity() < now) {
-      w->sources[i] = L.sources[i]->CaptureWarm();
-    }
-  }
-  w->background_flows = L.background_flows;
   return w;
 }
 
 bool Experiment::ValidateWarmState(const WarmState& w) {
-  if (shards() > 1) return false;
   if (!queue_monitor_started_) return false;
-  // Flows created before the restore (static flows) would run twice.
-  if (!lanes_[0]->flow_ptrs.empty()) return false;
-  if (w.fct == nullptr) return false;
-  if (lanes_[0]->sources.size() != w.sources.size()) return false;
+  if (w.lanes.size() != lanes_.size()) return false;
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    const Lane& L = *lanes_[i];
+    const LaneWarmState& lw = w.lanes[i];
+    // Flows created before the restore (static flows) would run twice.
+    if (!L.flow_ptrs.empty()) return false;
+    if (lw.fct == nullptr) return false;
+    if (L.sources.size() != lw.sources.size()) return false;
+    if (lw.now < L.sim->now()) return false;
+  }
   if (topology_->switches().size() != w.switches.size()) return false;
   if (hosts_.size() != w.hosts.size()) return false;
   if (static_cast<size_t>(total_ports_) != w.ports.size()) return false;
-  if (w.now < simulator().now()) return false;
   return true;
 }
 
@@ -713,18 +753,20 @@ bool Experiment::RestoreWarmState(const WarmState& w) {
   // Validate the structural match completely before touching anything, so a
   // mismatch leaves this experiment cold-runnable.
   if (!ValidateWarmState(w)) return false;
-  Lane& L = *lanes_[0];
-  const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
-
-  for (size_t i = 0; i < w.sources.size(); ++i) {
-    if (w.sources[i].has_value()) L.sources[i]->RestoreWarm(*w.sources[i]);
+  for (size_t li = 0; li < lanes_.size(); ++li) {
+    Lane& L = *lanes_[li];
+    const LaneWarmState& lw = w.lanes[li];
+    for (size_t i = 0; i < lw.sources.size(); ++i) {
+      if (lw.sources[i].has_value()) L.sources[i]->RestoreWarm(*lw.sources[i]);
+    }
+    L.queue_monitor->RestoreWarm(lw.queue);
+    L.pfc->RestoreWarm(lw.pfc);
   }
-  L.queue_monitor->RestoreWarm(w.queue);
-  L.pfc->RestoreWarm(w.pfc);
   for (size_t i = 0; i < w.switches.size(); ++i) {
     topology_->switch_node(topology_->switches()[i]).RestoreWarm(
         w.switches[i]);
   }
+  const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
   size_t pi = 0;
   for (uint32_t id = 0; id < num_nodes; ++id) {
     net::Node& node = topology_->node(id);
@@ -735,16 +777,21 @@ bool Experiment::RestoreWarmState(const WarmState& w) {
   for (size_t i = 0; i < hosts_.size(); ++i) {
     topology_->host(hosts_[i]).RestoreWarm(w.hosts[i]);
   }
-  L.fct = std::make_unique<stats::FctRecorder>(*w.fct);
-  L.short_fct_us = w.short_fct_us;
-  warm_flows_ = w.flows;
-  L.next_flow_id = w.next_flow_id;
-  L.background_flows = w.background_flows;
-  // Last: jump the clock and counters to T. Every event replayed above was
-  // scheduled while now_ was still pre-T, so their captured (time, seq) keys
-  // landed unchallenged; from here on the engine continues exactly as the
-  // checkpointing run would have.
-  L.sim->Restore(w.now, w.next_schedule_seq, w.events_executed);
+  warm_flows_.clear();
+  for (size_t li = 0; li < lanes_.size(); ++li) {
+    Lane& L = *lanes_[li];
+    const LaneWarmState& lw = w.lanes[li];
+    L.fct = std::make_unique<stats::FctRecorder>(*lw.fct);
+    L.short_fct_us = lw.short_fct_us;
+    warm_flows_.insert(warm_flows_.end(), lw.flows.begin(), lw.flows.end());
+    L.next_flow_id = lw.next_flow_id;
+    L.background_flows = lw.background_flows;
+    // Last: jump the clock and counters to T. Every event replayed above was
+    // scheduled while now_ was still pre-T, so their captured (time, seq)
+    // keys landed unchallenged; from here on the lane continues exactly as
+    // the checkpointing run's would have.
+    L.sim->Restore(lw.now, lw.next_schedule_seq, lw.events_executed);
+  }
   return true;
 }
 

@@ -170,7 +170,9 @@ class Experiment {
                        uint32_t dst, uint64_t bytes, sim::TimePs start);
   // RDMA READ (§4.2): `requester` pulls `bytes` from `responder`. The data
   // flow runs responder -> requester; its FCT starts at the request post
-  // time, so it includes the request's propagation. Single-lane only.
+  // time, so it includes the request's propagation. Every lane draws the
+  // flow id, like AddFlow; the responder's lane owns the flow and the
+  // requester's lane posts the request.
   host::Flow* AddReadFlow(uint32_t requester, uint32_t responder,
                           uint64_t bytes, sim::TimePs start);
 
@@ -216,6 +218,10 @@ class Experiment {
   // link events due by then (micro benches drive this directly after
   // AddFlow).
   void RunUntil(sim::TimePs until);
+  // Runs every lane up to `until`, excluding the events at `until` itself
+  // (and leaving a link-script event due then unapplied): the instant a warm
+  // checkpoint is taken at.
+  void RunBefore(sim::TimePs until);
   // Merges every lane's stats (plus warm-restored and fluid flows) into one
   // result. Non-destructive: calling it again gives the same result.
   ExperimentResult Collect();
@@ -223,17 +229,17 @@ class Experiment {
   // --- Warm checkpoint/restore (warm-start sweeps) -----------------------
   // A warm checkpoint captures the full mutable simulation state at a
   // *quiescent* instant T: every flow complete, every queue empty, no pause
-  // open, and no pending event beyond the self-schedules of the sources, the
+  // open, no packet waiting in a cross-lane handoff channel, and no pending
+  // event on any lane beyond the self-schedules of the sources, the
   // queue-monitor tick, and the marks of link-script events not yet applied
   // (all at >= T).
-  // Restoring into a freshly built, identically configured experiment then
-  // reproduces the checkpointing run's state exactly — same RNG engines,
-  // counters, pending (time, seq) pairs — so the continued run is
-  // byte-identical to one that simulated [0, T) itself. Anything pending
-  // that this accounting can't explain (a CC timer, an RTO) makes the
-  // instant non-quiescent and the caller falls back to a cold run.
-  // Single-lane only: a multi-lane experiment is never quiescent and never
-  // validates a checkpoint.
+  // Restoring into a freshly built, identically configured experiment (same
+  // lane count) then reproduces the checkpointing run's state exactly — same
+  // RNG engines, counters, pending (time, seq) pairs on every lane — so the
+  // continued run is byte-identical to one that simulated [0, T) itself.
+  // Anything pending that this accounting can't explain (a CC timer, an
+  // RTO) makes the instant non-quiescent and the caller falls back to a
+  // cold run.
 
   // One completed pre-checkpoint flow, carried for TraceHash / flow-count
   // folding (the live Flow objects stay with the checkpointing experiment).
@@ -246,19 +252,17 @@ class Experiment {
     sim::TimePs finish = 0;
     bool done = false;
   };
-  struct WarmState {
+  // One execution lane's share: its clock, counters, stats and sources.
+  struct LaneWarmState {
     sim::TimePs now = 0;             // checkpoint time T
     uint64_t next_schedule_seq = 0;  // simulator tie-break counter at T
     uint64_t events_executed = 0;
     uint64_t next_flow_id = 1;
-    std::vector<WarmFlowRecord> flows;
+    std::vector<WarmFlowRecord> flows;  // the lane's flows, creation order
     std::unique_ptr<stats::FctRecorder> fct;
     stats::PercentileTracker short_fct_us;
     stats::QueueMonitor::WarmState queue;
     stats::PfcMonitor::WarmState pfc;
-    std::vector<net::SwitchNode::WarmState> switches;  // switches() order
-    std::vector<net::Port::WarmCounters> ports;  // node asc, then port asc
-    std::vector<host::HostNode::WarmCounters> hosts;   // hosts() order
     // One slot per owned TrafficSource, enrollment order (the configured
     // Poisson, trace replay and incast, then the installed ones). Engaged
     // iff the source was captured (its first activity predates T); a source
@@ -269,38 +273,47 @@ class Experiment {
     // The background max_flows cap counter (see MakeBackground).
     uint64_t background_flows = 0;
   };
+  struct WarmState {
+    std::vector<LaneWarmState> lanes;  // one per execution lane
+    // Per-node state, whichever lane owns the node.
+    std::vector<net::SwitchNode::WarmState> switches;  // switches() order
+    std::vector<net::Port::WarmCounters> ports;  // node asc, then port asc
+    std::vector<host::HostNode::WarmCounters> hosts;   // hosts() order
+  };
 
   // True when the current instant satisfies the quiescence contract above.
   bool QuiescentForWarmCheckpoint();
   std::unique_ptr<WarmState> CaptureWarmState();
-  // Restores every captured piece and jumps the simulator clock/counters to
+  // Restores every captured piece and jumps every lane's clock/counters to
   // T. Returns false, mutating nothing, when `w` does not structurally match
-  // this experiment (source count, node/port/host counts, a regressed
+  // this experiment (lane, source, node/port/host counts, a regressed
   // clock) — the caller then runs cold. Call after the same installs and
   // StartWorkload the checkpointing run made, before any Run: the pre-T
   // self-schedules this experiment drew are cancelled and replaced by the
   // checkpoint's captured (time, seq) events.
   bool RestoreWarmState(const WarmState& w);
 
-  // Lane 0's simulator: the canonical clock, and the only one when
-  // shards == 1.
+  // Lane 0's simulator: the canonical clock (every lane's agrees between
+  // runs).
   sim::Simulator& simulator() { return *lanes_[0]->sim; }
   topo::Topology& topology() { return *topology_; }
   const ExperimentConfig& config() const { return config_; }
   const std::vector<uint32_t>& hosts() const { return hosts_; }
   sim::TimePs base_rtt() const { return base_rtt_; }
-  // Lane 0's flows in creation order (every flow when shards == 1).
-  const std::vector<host::Flow*>& flows() const {
-    return lanes_[0]->flow_ptrs;
-  }
   uint64_t flows_completed() const;
   // The hybrid fluid engine (null unless config.hybrid.enabled).
   analytic::FluidRegion* fluid_region() { return fluid_.get(); }
-  // Every live flow across all lanes (lane order, creation order within a
-  // lane). For post-run checkers like the no-progress monitor.
+  // Every live flow across all lanes, in id order (= creation order).
   std::vector<const host::Flow*> AllFlows() const;
-  // Lane 0's pause log (every port's when shards == 1).
-  stats::PfcMonitor& pfc_monitor() { return *lanes_[0]->pfc; }
+  // Lane `lane`'s flows in creation order. Read only from that lane's own
+  // events (or between runs): other lanes' threads mutate theirs.
+  const std::vector<host::Flow*>& lane_flows(int lane) const {
+    return lanes_[lane]->flow_ptrs;
+  }
+  // Every lane's pause log merged into the order one lane records it in:
+  // by start, then the tie-break key of the arrival that opened the pause
+  // (lane-invariant). Call after Collect, which closes open pauses.
+  std::vector<stats::PfcMonitor::PauseEvent> PauseLog() const;
 
   // Execution lanes: shards() >= 1 of them, lane 0 backed by simulator().
   int shards() const { return static_cast<int>(lanes_.size()); }
@@ -375,7 +388,12 @@ class Experiment {
   // otherwise.
   host::Flow* AddFlowOnLane(int lane, uint32_t src, uint32_t dst,
                             uint64_t bytes, sim::TimePs start);
-  // Admits a fluid-class flow (consumes lane 0's next flow id).
+  // Builds the flow `spec` describes on lane `L` (its CC runs on the lane's
+  // clock) and lists it among the lane's flows; the caller hands it to the
+  // source host.
+  std::unique_ptr<host::Flow> NewFlow(Lane& L, const host::FlowSpec& spec);
+  // Admits a fluid-class flow (consumes lane 0's next flow id; hybrid runs
+  // are single-lane).
   void AddFluidFlow(uint32_t src, uint32_t dst, uint64_t bytes,
                     sim::TimePs start);
   void StartQueueMonitors();
@@ -384,8 +402,9 @@ class Experiment {
   // The round loop: runs every lane to `until` in conservative rounds
   // bounded by the cut-link lookahead and the next link-script mark,
   // applying each mark's event between rounds. Lanes > 0 run on worker
-  // threads; lane 0 runs on the caller's.
-  void RunLanes(sim::TimePs until);
+  // threads; lane 0 runs on the caller's. `inclusive` = false stops short
+  // of the events (and link-script events) at `until` itself.
+  void RunLanes(sim::TimePs until, bool inclusive = true);
   // Reschedules every pending inbound record with arrival <= horizon onto
   // the lane's own simulator, under the producer's arrival tie-break key.
   void DrainInbound(Lane& lane, sim::TimePs horizon);

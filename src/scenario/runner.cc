@@ -154,16 +154,11 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
       cfg.fast_path = opts.fastpath_override != 0;
     }
     if (opts.shards_override >= 1) cfg.shards = opts.shards_override;
-    // The samplers (the trace's tracks and the declared series) read live
-    // state from one simulator at fixed sim times, so sampled runs are
-    // single-lane. The deterministic outputs are pinned shard-equal, so
-    // this costs nothing but wall clock.
-    const bool sampled =
-        tcfg.trace || (telemetry_on && !tcfg.series.empty());
-    if (sampled) cfg.shards = 1;
     // The fluid engine couples shared-port state on one event arena; a
     // shards override must not push a hybrid run into lanes.
     if (cfg.hybrid.enabled) cfg.shards = 1;
+    const bool sampled =
+        tcfg.trace || (telemetry_on && !tcfg.series.empty());
 
     // Fabric snapshot sharing: the first run to reach this topology key
     // builds the fabric cold and publishes its routing state; everyone else
@@ -188,10 +183,9 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
 
     // Warm checkpoint eligibility. Everything here falls back to a cold run
     // without changing a single output byte: checking runs hold monitor
-    // state a restore cannot reproduce, trace/profile modes record
-    // mid-run engine state, sharded lanes checkpoint nothing, and a link
-    // event before the checkpoint instant mutates routes the snapshotted
-    // fabric build must not see.
+    // state a restore cannot reproduce, trace/series/profile modes record
+    // mid-run engine state, and a link event before the checkpoint instant
+    // mutates routes the snapshotted fabric build must not see.
     const sim::TimePs warm_until = run.scenario.warm_until;
     // Fault scripts always run cold (the checkpoint models neither the
     // degree-dependent install draws of expanded switch/NIC events nor the
@@ -200,9 +194,9 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
     // and window state has no warm capture surface. So are runs with static
     // flows, which exist before any checkpoint could stand in for them.
     bool warm_on = opts.warm && opts.warm_cache != nullptr && warm_until > 0 &&
-                   warm_until < cfg.duration && cfg.shards == 1 &&
-                   !opts.check && opts.event_budget == 0 && !sampled &&
-                   !tcfg.profile && deadline_s == 0 &&
+                   warm_until < cfg.duration && !opts.check &&
+                   opts.event_budget == 0 && !sampled && !tcfg.profile &&
+                   deadline_s == 0 &&
                    !HasFaultEvents(run.scenario) && !cfg.hybrid.enabled &&
                    run.scenario.flows.empty();
     for (const ScenarioEvent& ev : run.scenario.events) {
@@ -291,7 +285,7 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
         // instant, publish (unblocking every member while this run keeps
         // going), then finish normally.
         e->StartWorkload();
-        e->simulator().Run(warm_until, 0);
+        e->RunBefore(warm_until);
         if (e->QuiescentForWarmCheckpoint()) {
           auto cp = std::make_shared<WarmCheckpoint>();
           cp->state = std::move(*e->CaptureWarmState());

@@ -107,8 +107,8 @@ struct ScenarioRunnerOptions {
   int fastpath_override = -1;
   // Shard-count override: 0 = as the scenario says, >= 1 forces that many
   // execution lanes (runner::ExperimentConfig::shards). The shard-equivalence
-  // suite and `--shards=N` A/B runs use this. Trace export and declared
-  // series still force shards=1 (their samplers run on one lane).
+  // suite and `--shards=N` A/B runs use this. Hybrid runs stay on one lane
+  // whatever the override.
   int shards_override = 0;
 
   // --- telemetry (src/obs) ---

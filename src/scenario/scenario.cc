@@ -24,7 +24,7 @@ sim::TimePs CheckedPs(double value, double ps_per_unit, const char* what) {
     throw ScenarioError(std::string(what) +
                         " is outside the simulator's time range");
   }
-  return static_cast<sim::TimePs>(ps);
+  return sim::RoundToPs(value, ps_per_unit);
 }
 
 sim::TimePs UsToPs(double us, const char* what = "time value") {

@@ -5,6 +5,7 @@
 // point drift; an int64 covers ~106 days of simulated time.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace hpcc::sim {
@@ -20,6 +21,14 @@ constexpr TimePs Ns(int64_t v) { return v * kPsPerNs; }
 constexpr TimePs Us(int64_t v) { return v * kPsPerUs; }
 constexpr TimePs Ms(int64_t v) { return v * kPsPerMs; }
 constexpr TimePs Sec(int64_t v) { return v * kPsPerSec; }
+
+// The nearest picosecond to `value` units of `ps_per_unit` ps each — the one
+// conversion of a decimal time read from a document (a µs or ms value):
+// rounding, not truncation, so a value written at ps resolution lands on
+// the ps it names (0.000507 µs is 507 ps, as a trace_file row reads it).
+inline TimePs RoundToPs(double value, double ps_per_unit) {
+  return static_cast<TimePs>(std::llround(value * ps_per_unit));
+}
 
 constexpr double ToUs(TimePs t) { return static_cast<double>(t) / kPsPerUs; }
 constexpr double ToMs(TimePs t) { return static_cast<double>(t) / kPsPerMs; }

@@ -44,6 +44,7 @@ void PfcMonitor::OnChange(uint32_t node, int port, int prio, sim::TimePs now,
     ev.node = node;
     ev.port = port;
     ev.port_bps = port_bps_.count(key) > 0 ? port_bps_[key] : 0;
+    if (clock_ != nullptr) ev.order = clock_->executing_seq();
     open_[key] = events_.size();
     events_.push_back(ev);
     paused_bps_now_ += ev.port_bps;

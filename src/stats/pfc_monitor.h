@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/port.h"
+#include "sim/simulator.h"
 #include "sim/time.h"
 #include "stats/percentile.h"
 
@@ -25,6 +26,9 @@ class PfcMonitor {
     uint32_t node = 0;     // node whose egress got paused
     int port = 0;
     int64_t port_bps = 0;
+    // Tie-break key of the event that opened the pause (see set_clock):
+    // with `start` it orders pause logs merged across execution lanes.
+    uint64_t order = 0;
   };
 
   // Returns the observer to install on every port (Topology helper below).
@@ -34,6 +38,12 @@ class PfcMonitor {
   void AttachTo(topo::Topology& topology);
   // Shard-local variant: attach to the listed nodes' ports only.
   void AttachTo(topo::Topology& topology, const std::vector<uint32_t>& nodes);
+
+  // The simulator whose executing event opens this monitor's pauses. Pause
+  // frames act in packet-arrival events, whose tie-break key is the same on
+  // every lane, so (start, order) sorts a merged log exactly as one lane
+  // records it. Unset = order 0.
+  void set_clock(const sim::Simulator* clock) { clock_ = clock; }
 
   // Call once at the end of a run to close still-open pauses.
   void Finish(sim::TimePs now);
@@ -78,6 +88,7 @@ class PfcMonitor {
   net::PauseObserver observer_{
       [this](uint32_t node, int port, int prio, sim::TimePs now,
              bool paused) { OnChange(node, port, prio, now, paused); }};
+  const sim::Simulator* clock_ = nullptr;
   std::vector<PauseEvent> events_;
   std::map<std::pair<uint32_t, int>, size_t> open_;  // (node,port) -> event
   std::map<std::pair<uint32_t, int>, int64_t> port_bps_;

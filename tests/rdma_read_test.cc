@@ -104,5 +104,35 @@ TEST(RdmaRead, ReadFlowsRecordFct) {
   EXPECT_EQ(r.fct->total_flows(), 1u);
 }
 
+// READ flows on lanes: every lane draws the id, the responder's lane owns
+// the flow and the requester's lane posts the request, so two lanes give
+// the one-lane results exactly.
+TEST(RdmaRead, LanesMatchOneLane) {
+  auto run = [](int shards) {
+    ExperimentConfig cfg = StarCfg(9);
+    cfg.shards = shards;
+    Experiment e(cfg);
+    EXPECT_EQ(e.shards(), shards);
+    const auto& h = e.hosts();
+    for (int i = 1; i <= 8; ++i) {
+      e.AddReadFlow(h[0], h[i], 200'000 + 10'000 * static_cast<uint64_t>(i),
+                    sim::Us(i));
+    }
+    e.AddReadFlow(h[8], h[1], 150'000, 0);
+    e.AddFlow(h[2], h[7], 300'000, sim::Us(5));
+    e.RunUntil(sim::Ms(10));
+    return e.Collect();
+  };
+  const ExperimentResult one = run(1);
+  const ExperimentResult two = run(2);
+  EXPECT_EQ(one.flows_created, 10u);
+  EXPECT_EQ(one.flows_completed, 10u);
+  EXPECT_EQ(two.flows_created, one.flows_created);
+  EXPECT_EQ(two.flows_completed, one.flows_completed);
+  EXPECT_EQ(two.trace_hash, one.trace_hash);
+  EXPECT_EQ(two.packets_forwarded, one.packets_forwarded);
+  EXPECT_EQ(two.max_queue_bytes, one.max_queue_bytes);
+}
+
 }  // namespace
 }  // namespace hpcc::runner

@@ -10,6 +10,7 @@
 #include "scenario/json.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
+#include "workload/trace_replay.h"
 
 namespace hpcc::scenario {
 namespace {
@@ -539,6 +540,25 @@ TEST(Scenario, StaticFlows) {
        }) {
     EXPECT_ANY_THROW(ParseScenarioText(head + bad + "}}")) << bad;
   }
+}
+
+// A µs value at ps resolution names one picosecond, whichever way it is
+// read: a workload.flows row and a trace_file row agree (0.000507 µs has no
+// exact binary form, so truncating the product would give 506 ps).
+TEST(Scenario, MicrosecondsRoundToTheNearestPicosecond) {
+  const Scenario s = ParseScenarioText(
+      R"({"name": "ps", "topology": {"kind": "star", "hosts": 3},
+          "duration_ms": 0.3, "workload": {"flows":
+          [{"start_us": 0.000507, "src": 0, "dst": 2, "bytes": 5000}]}})");
+  ASSERT_EQ(s.flows.size(), 1u);
+  EXPECT_EQ(s.flows[0].at, 507);
+  std::istringstream trace("0.000507,0,2,5000\n");
+  const std::vector<workload::TraceRecord> rows =
+      workload::ParseFlowTrace(trace);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].at, 507);
+  EXPECT_EQ(ScenarioToJson(s).Get("workload").Get("flows").Dump(),
+            R"([{"start_us":0.000507,"src":0,"dst":2,"bytes":5000}])");
 }
 
 std::string ReadAll(const std::string& path) {

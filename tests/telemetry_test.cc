@@ -119,6 +119,54 @@ TEST(Telemetry, ArtifactsIdenticalAcrossEngines) {
   }
 }
 
+// The Perfetto trace is lane-invariant: flow spans in id order, the pause
+// log merged by (start, opening arrival), queue/flow tracks sampled by the
+// owning lane, INT tracks taken from the echoing lane. Two documents that
+// exercise every part across lanes: a fat-tree incast with INT tracks on,
+// and a DCQCN point with PFC pause storms.
+TEST(Telemetry, TraceIdenticalAcrossShards) {
+  struct Case {
+    std::string file;
+    std::string set;
+    std::string expect;  // a trace fragment the document must produce
+  };
+  const std::vector<Case> cases = {
+      {ScenarioPath("fattree16_hadoop_burst.json"), "telemetry.int_tracks=8",
+       "int f1 qlen"},
+      {ScenarioPath("paper/fig2b.json"), "duration_ms=1",
+       "\"name\":\"pause\""},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.file);
+    const std::vector<ScenarioRun> runs =
+        ExpandSweep(LoadScenarioFile(c.file, {c.set}));
+    ASSERT_FALSE(runs.empty());
+    const ScenarioRun& run = runs.back();
+    std::string base;
+    for (int shards : {1, 2, 4}) {
+      RunOneOptions opts;
+      opts.shards_override = shards;
+      obs::TelemetryConfig tcfg = run.scenario.telemetry;
+      tcfg.trace = true;
+      opts.telemetry = tcfg;
+      opts.trace_path = "telemetry_lanes" + std::to_string(shards) +
+                        ".trace.json";
+      const SweepRunResult r = ScenarioRunner::RunOne(run, opts);
+      ASSERT_TRUE(r.error.empty()) << r.error;
+      const std::string trace = ReadFile(opts.trace_path);
+      std::remove(opts.trace_path.c_str());
+      if (shards == 1) {
+        base = trace;
+        EXPECT_NE(base.find("\"cat\":\"flow\""), std::string::npos);
+        EXPECT_NE(base.find("\"ph\":\"C\""), std::string::npos);
+        EXPECT_NE(base.find(c.expect), std::string::npos);
+      } else {
+        EXPECT_EQ(trace, base) << "shards=" << shards;
+      }
+    }
+  }
+}
+
 TEST(Telemetry, ManifestShape) {
   const Scenario sc = LoadScenarioFile(ScenarioPath("fig11_load_sweep.json"));
   const std::vector<ScenarioRun> runs = ExpandSweep(sc);

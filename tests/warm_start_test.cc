@@ -1,10 +1,10 @@
 // Warm-start equivalence suite: a sweep run with fabric-snapshot sharing and
 // warm_start checkpoint/restore enabled must be observably indistinguishable
 // from the all-cold run — equal combined trace hashes, byte-identical
-// aggregate CSVs and byte-identical per-run manifests — at any worker count,
-// including configurations where warm capture is ineligible and every point
-// silently falls back to cold (sharded lanes, pre-checkpoint link flaps, a
-// non-quiescent checkpoint instant). Covers the committed example scenarios
+// aggregate CSVs and byte-identical per-run manifests — at any worker count
+// and any lane count, including configurations where warm capture is
+// ineligible and every point silently falls back to cold (pre-checkpoint
+// link flaps, a non-quiescent checkpoint instant). Covers the committed example scenarios
 // and the whole fuzz corpus, plus a purpose-built scenario where the
 // checkpoint provably engages (warm_built/warm_restored are asserted, not
 // hoped for).
@@ -98,26 +98,27 @@ void ExpectSameOutputs(const SweepOutputs& cold, const SweepOutputs& other) {
   }
 }
 
-// Cold baseline vs warm at jobs {1, 4} vs warm on 4 execution lanes (where
-// checkpointing is ineligible and only the fabric snapshot is shared): all
-// four must produce the same bytes.
+// Cold baseline vs warm at jobs {1, 4} vs warm on 4 execution lanes: all
+// four must produce the same bytes, and the lanes checkpoint and restore
+// exactly the points one lane does.
 void ExpectWarmEquivalence(const std::vector<scenario::ScenarioRun>& runs,
                            const std::string& tag) {
   const SweepOutputs cold = RunVariant(runs, /*warm=*/false, 1, 0,
                                        tag + "_cold");
+  const SweepOutputs warm = RunVariant(runs, true, 1, 0, tag + "_w1");
   {
     SCOPED_TRACE("warm jobs=1");
-    ExpectSameOutputs(cold, RunVariant(runs, true, 1, 0, tag + "_w1"));
+    ExpectSameOutputs(cold, warm);
   }
   {
     SCOPED_TRACE("warm jobs=4");
     ExpectSameOutputs(cold, RunVariant(runs, true, 4, 0, tag + "_w4"));
   }
   {
-    SCOPED_TRACE("warm shards=4 (cold fallback)");
+    SCOPED_TRACE("warm shards=4");
     const SweepOutputs sharded = RunVariant(runs, true, 1, 4, tag + "_ws4");
-    EXPECT_EQ(sharded.built, 0u);
-    EXPECT_EQ(sharded.restored, 0u);
+    EXPECT_EQ(sharded.built, warm.built);
+    EXPECT_EQ(sharded.restored, warm.restored);
     ExpectSameOutputs(cold, sharded);
   }
 }
@@ -241,6 +242,42 @@ TEST(WarmStart, CheckpointEngagesAndMatchesCold) {
   EXPECT_EQ(warm4.built, 1u);
   EXPECT_EQ(warm4.restored, runs.size() - 1);
   ExpectSameOutputs(cold, warm4);
+
+  // Per-lane checkpoints: the same points build and restore on 2 and 4
+  // lanes, byte-equal to the cold one-lane sweep.
+  for (int shards : {2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const SweepOutputs lanes = RunVariant(
+        runs, /*warm=*/true, 1, shards,
+        "warm_engaged_s" + std::to_string(shards));
+    EXPECT_EQ(lanes.built, 1u);
+    EXPECT_EQ(lanes.restored, runs.size() - 1);
+    ExpectSameOutputs(cold, lanes);
+  }
+}
+
+// A checkpoint records its lane count: one taken on one lane never restores
+// into a two-lane experiment (the point runs cold, bytes unchanged).
+TEST(WarmStart, CheckpointNeverCrossesLaneCounts) {
+  const std::vector<scenario::ScenarioRun> runs = WarmEngagedRuns();
+  auto fabrics = std::make_shared<scenario::FabricCache>();
+  auto warms = std::make_shared<scenario::WarmCache>();
+  scenario::RunOneOptions o;
+  o.warm = true;
+  o.fabric_cache = fabrics;
+  o.warm_cache = warms;
+  o.shards_override = 1;
+  const scenario::SweepRunResult builder =
+      scenario::ScenarioRunner::RunOne(runs[0], o);
+  ASSERT_TRUE(builder.ok()) << builder.error;
+  EXPECT_TRUE(builder.warm_built);
+  o.shards_override = 2;
+  const scenario::SweepRunResult member =
+      scenario::ScenarioRunner::RunOne(runs[1], o);
+  ASSERT_TRUE(member.ok()) << member.error;
+  EXPECT_FALSE(member.warm_restored);
+  const scenario::SweepRunResult cold = scenario::ScenarioRunner::RunOne(runs[1]);
+  EXPECT_EQ(member.result.trace_hash, cold.result.trace_hash);
 }
 
 // The background max_flows cap is one counter per lane shared by every load
