@@ -64,6 +64,9 @@ class CongestionControl {
   virtual void OnCnp(sim::TimePs /*now*/) {}
   // Data bytes handed to the wire (DCQCN's byte-counter rate increase).
   virtual void OnSent(int64_t /*bytes*/, sim::TimePs /*now*/) {}
+  // Flow started (its start time, not its creation): arm any self-scheduled
+  // timers.
+  virtual void OnFlowStart(sim::TimePs /*now*/) {}
   // Flow finished: cancel any self-scheduled timers.
   virtual void OnFlowDone() {}
 

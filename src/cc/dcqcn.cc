@@ -14,6 +14,11 @@ DcqcnCc::DcqcnCc(const CcContext& ctx, const DcqcnParams& params)
   // RDMA senders start at line rate (§2.2).
   rc_ = static_cast<double>(ctx.nic_bps);
   rt_ = rc_;
+}
+
+void DcqcnCc::OnFlowStart(sim::TimePs /*now*/) {
+  // Armed at the start, not at construction: a flow created ahead of its
+  // start time must not decay alpha or raise its rate while idle.
   ArmAlphaTimer();
   ArmRateTimer();
 }

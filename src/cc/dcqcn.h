@@ -41,6 +41,7 @@ class DcqcnCc : public CongestionControl {
   void OnAck(const AckInfo& ack) override;
   void OnCnp(sim::TimePs now) override;
   void OnSent(int64_t bytes, sim::TimePs now) override;
+  void OnFlowStart(sim::TimePs now) override;
   void OnFlowDone() override;
 
   int64_t window_bytes() const override;

@@ -20,6 +20,7 @@ class WindowedCc : public CongestionControl {
   void OnSent(int64_t bytes, sim::TimePs now) override {
     inner_->OnSent(bytes, now);
   }
+  void OnFlowStart(sim::TimePs now) override { inner_->OnFlowStart(now); }
   void OnFlowDone() override { inner_->OnFlowDone(); }
 
   int64_t window_bytes() const override;

@@ -81,6 +81,7 @@ Flow* HostNode::RegisterFlow(std::unique_ptr<Flow> flow) {
 }
 
 void HostNode::StartFlow(Flow* flow) {
+  flow->cc().OnFlowStart(simulator_->now());
   flow->started = true;
   flow->next_tx_time = simulator_->now();
   flow->last_activity = simulator_->now();

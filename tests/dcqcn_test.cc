@@ -1,7 +1,10 @@
 // Unit tests for the DCQCN baseline.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cc/dcqcn.h"
+#include "runner/experiment.h"
 #include "sim/simulator.h"
 
 namespace hpcc::cc {
@@ -149,6 +152,7 @@ TEST(Dcqcn, SelfSchedulesTimersOnSimulator) {
   p.alpha_timer = sim::Us(55);
   p.rate_inc_timer = sim::Us(300);
   auto cc = std::make_unique<DcqcnCc>(Ctx(&s), p);
+  cc->OnFlowStart(s.now());
   cc->OnCnp(s.now());
   const double a0 = cc->alpha();
   s.Run(sim::Us(60));
@@ -160,6 +164,49 @@ TEST(Dcqcn, SelfSchedulesTimersOnSimulator) {
   s.Run(sim::Ms(10));
   // Timers cancelled: nothing keeps firing forever.
   EXPECT_LE(s.events_executed() - events_before, 2u);
+}
+
+// The timers arm when the flow starts, not when it is created: rows added
+// up front with a later start time behave exactly like the same rows added
+// at their start time (idle timers would decay alpha and step the rate
+// stages before the first byte, so the incast's CNP reactions would differ).
+TEST(Dcqcn, FlowCreatedAheadOfItsStartMatchesOneCreatedAtStart) {
+  struct Outcome {
+    std::vector<sim::TimePs> finish;
+    std::vector<double> alpha;
+    std::vector<double> rate;
+    uint64_t trace_hash = 0;
+  };
+  auto run = [](bool up_front) {
+    runner::ExperimentConfig cfg;
+    cfg.topology = runner::TopologyKind::kStar;
+    cfg.star.num_hosts = 9;
+    cfg.cc.scheme = "dcqcn";
+    cfg.duration = sim::Ms(3);
+    runner::Experiment e(cfg);
+    const auto& h = e.hosts();
+    const sim::TimePs late = sim::Us(200);
+    std::vector<host::Flow*> flows{e.AddFlow(h[1], h[0], 4'000'000, 0)};
+    if (!up_front) e.RunUntil(late);
+    for (int i = 2; i < 9; ++i) {
+      flows.push_back(e.AddFlow(h[i], h[0], 500'000, late));
+    }
+    Outcome out;
+    out.trace_hash = e.Run().trace_hash;
+    for (const host::Flow* f : flows) {
+      const auto& cc = dynamic_cast<const DcqcnCc&>(f->cc());
+      out.finish.push_back(f->finish_time);
+      out.alpha.push_back(cc.alpha());
+      out.rate.push_back(cc.current_rate_bps());
+    }
+    return out;
+  };
+  const Outcome ahead = run(true);
+  const Outcome at_start = run(false);
+  EXPECT_EQ(ahead.trace_hash, at_start.trace_hash);
+  EXPECT_EQ(ahead.finish, at_start.finish);
+  EXPECT_EQ(ahead.alpha, at_start.alpha);
+  EXPECT_EQ(ahead.rate, at_start.rate);
 }
 
 TEST(Dcqcn, WindowEffectivelyUnlimited) {
