@@ -157,8 +157,6 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
     // The fluid engine couples shared-port state on one event arena; a
     // shards override must not push a hybrid run into lanes.
     if (cfg.hybrid.enabled) cfg.shards = 1;
-    const bool sampled =
-        tcfg.trace || (telemetry_on && !tcfg.series.empty());
 
     // Fabric snapshot sharing: the first run to reach this topology key
     // builds the fabric cold and publishes its routing state; everyone else
@@ -193,6 +191,8 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
     // Hybrid runs are always cold too: the fluid engine's continuous link
     // and window state has no warm capture surface. So are runs with static
     // flows, which exist before any checkpoint could stand in for them.
+    const bool sampled =
+        tcfg.trace || (telemetry_on && !tcfg.series.empty());
     bool warm_on = opts.warm && opts.warm_cache != nullptr && warm_until > 0 &&
                    warm_until < cfg.duration && !opts.check &&
                    opts.event_budget == 0 && !sampled && !tcfg.profile &&
