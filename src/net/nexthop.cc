@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 #include "core/hash.h"
 
@@ -17,10 +18,11 @@ void NextHopTable::InitEmptyGroup() {
   dead_port_slots_ = 0;
   free_gids_.clear();
   ports_.clear();
+  last_interned_ = kNoGroup;
 }
 
-void NextHopTable::Reset(uint32_t num_dsts) {
-  dst_group_.assign(num_dsts, kNoGroup);
+void NextHopTable::Reset(uint32_t num_keys) {
+  key_group_.assign(num_keys, kNoGroup);
   InitEmptyGroup();
 }
 
@@ -98,9 +100,17 @@ uint32_t NextHopTable::InternGroup(const uint16_t* ports, uint32_t count) {
 #ifndef NDEBUG
   for (uint32_t i = 1; i < count; ++i) assert(ports[i - 1] < ports[i]);
 #endif
+  // A full rebuild interns one switch's up-group for key after key: the
+  // last list interned is answered with one compare instead of a hash.
+  if (last_interned_ != kNoGroup && GroupEquals(last_interned_, ports, count)) {
+    return last_interned_;
+  }
   const uint64_t hash = HashPorts(ports, count);
   const uint32_t found = IndexFind(hash, ports, count);
-  if (found != kEmptySlot) return found;
+  if (found != kEmptySlot) {
+    if (found != kNoGroup) last_interned_ = found;
+    return found;
+  }
 
   uint32_t gid;
   if (!free_gids_.empty()) {
@@ -108,6 +118,11 @@ uint32_t NextHopTable::InternGroup(const uint16_t* ports, uint32_t count) {
     free_gids_.pop_back();
   } else {
     gid = static_cast<uint32_t>(groups_.size());
+    if (gid > UINT16_MAX) {
+      throw std::length_error(
+          "next-hop table: more than 65535 distinct ECMP groups on one "
+          "switch");
+    }
     groups_.emplace_back();
   }
   Meta& m = groups_[gid];
@@ -118,20 +133,21 @@ uint32_t NextHopTable::InternGroup(const uint16_t* ports, uint32_t count) {
   ports_.insert(ports_.end(), ports, ports + count);
   IndexInsert(gid);
   ++live_groups_;
+  last_interned_ = gid;
   return gid;
 }
 
-void NextHopTable::AssignGroup(uint32_t dst, uint32_t gid) {
-  const uint32_t old = dst_group_[dst];
+void NextHopTable::AssignGroup(uint32_t key, uint32_t gid) {
+  const uint32_t old = key_group_[key];
   if (old == gid) return;
   if (gid != kNoGroup) ++groups_[gid].refs;
-  dst_group_[dst] = gid;
+  key_group_[key] = static_cast<uint16_t>(gid);
   if (old != kNoGroup) ReleaseGroup(old);
 }
 
-void NextHopTable::SetRoute(uint32_t dst, const uint16_t* ports,
+void NextHopTable::SetRoute(uint32_t key, const uint16_t* ports,
                             uint32_t count) {
-  AssignGroup(dst, count == 0 ? kNoGroup : InternGroup(ports, count));
+  AssignGroup(key, count == 0 ? kNoGroup : InternGroup(ports, count));
 }
 
 void NextHopTable::ReleaseGroup(uint32_t gid) {
@@ -139,6 +155,7 @@ void NextHopTable::ReleaseGroup(uint32_t gid) {
   assert(m.refs > 0);
   if (--m.refs > 0) return;
   IndexErase(gid);
+  if (last_interned_ == gid) last_interned_ = kNoGroup;
   dead_port_slots_ += m.size;
   free_gids_.push_back(gid);
   --live_groups_;
@@ -164,46 +181,40 @@ void NextHopTable::MaybeCompact() {
   dead_port_slots_ = 0;
 }
 
-void NextHopTable::AddPort(uint32_t dst, uint16_t port) {
-  const Group g = Lookup(dst);
+void NextHopTable::AddPort(uint32_t key, uint16_t port) {
+  const Group g = Lookup(key);
   scratch_.assign(g.ports, g.ports + g.size);
   auto it = std::lower_bound(scratch_.begin(), scratch_.end(), port);
   assert(it == scratch_.end() || *it != port);
   scratch_.insert(it, port);
-  SetRoute(dst, scratch_.data(), static_cast<uint32_t>(scratch_.size()));
+  SetRoute(key, scratch_.data(), static_cast<uint32_t>(scratch_.size()));
 }
 
-void NextHopTable::RemovePort(uint32_t dst, uint16_t port) {
-  const Group g = Lookup(dst);
+void NextHopTable::RemovePort(uint32_t key, uint16_t port) {
+  const Group g = Lookup(key);
   scratch_.assign(g.ports, g.ports + g.size);
   auto it = std::lower_bound(scratch_.begin(), scratch_.end(), port);
   assert(it != scratch_.end() && *it == port);
   scratch_.erase(it);
-  SetRoute(dst, scratch_.data(), static_cast<uint32_t>(scratch_.size()));
+  SetRoute(key, scratch_.data(), static_cast<uint32_t>(scratch_.size()));
 }
 
 size_t NextHopTable::resident_bytes() const {
-  return dst_group_.capacity() * sizeof(uint32_t) +
+  return key_group_.capacity() * sizeof(uint16_t) +
          ports_.capacity() * sizeof(uint16_t) +
          groups_.capacity() * sizeof(Meta) +
          index_.capacity() * sizeof(uint32_t) +
          free_gids_.capacity() * sizeof(uint32_t);
 }
 
-size_t NextHopTable::expanded_port_entries() const {
-  size_t total = 0;
-  for (const uint32_t gid : dst_group_) total += groups_[gid].size;
-  return total;
-}
-
-std::vector<uint16_t> NextHopTable::PortsOf(uint32_t dst) const {
-  const Group g = Lookup(dst);
+std::vector<uint16_t> NextHopTable::PortsOf(uint32_t key) const {
+  const Group g = Lookup(key);
   return std::vector<uint16_t>(g.ports, g.ports + g.size);
 }
 
 bool NextHopTable::CheckConsistency() const {
   std::vector<uint32_t> refs(groups_.size(), 0);
-  for (const uint32_t gid : dst_group_) {
+  for (const uint32_t gid : key_group_) {
     if (gid >= groups_.size()) return false;
     if (gid != kNoGroup) ++refs[gid];
   }

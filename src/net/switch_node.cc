@@ -36,6 +36,7 @@ void SwitchNode::FinishSetup() {
 }
 
 void SwitchNode::SetRoutes(const std::vector<std::vector<uint16_t>>& routes) {
+  SetRouteKeys(nullptr, RouteKeys::kNoKey);
   NextHopTable& table = mutable_routes(/*preserve=*/false);
   table.Reset(static_cast<uint32_t>(routes.size()));
   for (uint32_t dst = 0; dst < routes.size(); ++dst) {
@@ -47,8 +48,8 @@ void SwitchNode::SetRoutes(const std::vector<std::vector<uint16_t>>& routes) {
 int SwitchNode::RoutePort(uint64_t flow_id, uint32_t dst) const {
   // A corrupt/out-of-range dst must be a visible kNoRoute drop, not a silent
   // out-of-bounds read (an assert here compiles out in Release).
-  if (dst >= route_view_->num_dsts()) [[unlikely]] return -1;
-  const NextHopTable::Group g = route_view_->Lookup(dst);
+  if (dst >= num_route_dsts()) [[unlikely]] return -1;
+  const NextHopTable::Group g = Lookup(dst);
   if (g.size == 0) return -1;  // disconnected (link failures)
   if (g.size == 1) return g.ports[0];
   // Per-flow ECMP: hash is stable for a flow at this switch, so all packets

@@ -73,7 +73,7 @@ class SwitchNode : public Node {
   }
   void OnTrainPending(int port_index) override;
 
-  // Routing: interned ECMP next-hop groups, dst node id -> shared port set
+  // Routing: interned ECMP next-hop groups, route key -> shared port set
   // (see net/nexthop.h). Topology owns the contents: it resets/rebuilds the
   // table in RecomputeRoutes and patches single groups during incremental
   // link-event repair.
@@ -97,9 +97,36 @@ class SwitchNode : public Node {
   // guarantees it outlives this switch or is replaced first).
   void AdoptRouteView(const NextHopTable* shared) { route_view_ = shared; }
   bool routes_shared() const { return route_view_ != &routes_; }
+  // Points this switch at its fabric's destination -> route key map and
+  // names the key of the hosts hanging off it (RouteKeys::kNoKey when none).
+  // Without a key map the table is keyed by destination node id.
+  void SetRouteKeys(const RouteKeys* keys, uint32_t rack_key) {
+    route_keys_ = keys;
+    rack_key_ = rack_key;
+  }
+  uint32_t rack_key() const { return rack_key_; }
   // Convenience for tests/benches that wire a switch by hand: installs one
-  // candidate list per destination node id (index = dst).
+  // candidate list per destination node id (index = dst) and drops any key
+  // map.
   void SetRoutes(const std::vector<std::vector<uint16_t>>& routes);
+  // The ECMP candidate ports toward destination `dst` (size 0: no route):
+  // its own rack's hosts by their NIC port, every other destination by its
+  // route key's group. `dst` must be < num_route_dsts().
+  NextHopTable::Group Lookup(uint32_t dst) const {
+    const uint32_t key = route_keys_ == nullptr ? dst : route_keys_->key[dst];
+    if (key == rack_key_) return {&route_keys_->nic_port[dst], 1};
+    return route_view_->Lookup(key);
+  }
+  uint32_t num_route_dsts() const {
+    return route_keys_ == nullptr
+               ? route_view_->num_keys()
+               : static_cast<uint32_t>(route_keys_->key.size());
+  }
+  // Copy of dst's candidate list (tests and the route oracle).
+  std::vector<uint16_t> PortsOf(uint32_t dst) const {
+    const NextHopTable::Group g = Lookup(dst);
+    return std::vector<uint16_t>(g.ports, g.ports + g.size);
+  }
   // ECMP egress port of flow `flow_id` toward `dst`, or -1 when there is no
   // route — including an out-of-range dst, which is a checked (hook-visible
   // kNoRoute) drop rather than undefined behavior on a corrupt packet. The
@@ -193,6 +220,8 @@ class SwitchNode : public Node {
   NextHopTable routes_;
   // Read view: &routes_ (private) or a shared snapshot table (COW).
   const NextHopTable* route_view_ = &routes_;
+  const RouteKeys* route_keys_ = nullptr;  // null: keyed by destination
+  uint32_t rack_key_ = RouteKeys::kNoKey;
   std::vector<RcpState> rcp_;
   // Whether we have an outstanding PAUSE toward each (ingress port, prio).
   std::vector<std::array<bool, kNumPriorities>> pause_sent_;

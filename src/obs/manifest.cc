@@ -340,6 +340,7 @@ scenario::Json BuildManifest(const ManifestInputs& in) {
                                : "reference"));
     prof.Set("events_executed", NumU(res.events_executed));
     prof.Set("train_aborts", NumU(res.train_aborts));
+    if (in.warm != nullptr) prof.Set("warm", Str(in.warm));
     if (in.phases) {
       scenario::Json wall = scenario::Json::MakeObject();
       wall.Set("build_s", Num(in.phases->build_s));

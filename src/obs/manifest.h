@@ -46,6 +46,8 @@ struct ManifestInputs {
   const std::vector<check::Violation>* violations = nullptr;
   size_t violation_count = 0;
   const PhaseTimers* phases = nullptr;  // profile section only
+  // Warm-start outcome, "built" / "restored" / "cold" (profile section only).
+  const char* warm = nullptr;
   // Sweep journal ("sweep" section, emitted when csv_cells is set): grid
   // coordinates, attempt number, final status and the formatted CSV cells
   // of this point. A later --resume invocation validates and replays it

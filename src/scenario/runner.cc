@@ -181,10 +181,12 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
 
     // Warm checkpoint eligibility. Everything here falls back to a cold run
     // without changing a single output byte: checking runs hold monitor
-    // state a restore cannot reproduce, trace/series/profile modes record
-    // mid-run engine state, and a link event before the checkpoint instant
-    // mutates routes the snapshotted fabric build must not see.
+    // state a restore cannot reproduce, trace/series modes record mid-run
+    // engine state, and a link event before the checkpoint instant mutates
+    // routes the snapshotted fabric build must not see.
     const sim::TimePs warm_until = run.scenario.warm_until;
+    out.warm_requested =
+        opts.warm && opts.warm_cache != nullptr && warm_until > 0;
     // Fault scripts always run cold (the checkpoint models neither the
     // degree-dependent install draws of expanded switch/NIC events nor the
     // corruption RNG streams), and a wall deadline can fire mid-checkpoint.
@@ -193,9 +195,8 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
     // flows, which exist before any checkpoint could stand in for them.
     const bool sampled =
         tcfg.trace || (telemetry_on && !tcfg.series.empty());
-    bool warm_on = opts.warm && opts.warm_cache != nullptr && warm_until > 0 &&
-                   warm_until < cfg.duration && !opts.check &&
-                   opts.event_budget == 0 && !sampled && !tcfg.profile &&
+    bool warm_on = out.warm_requested && warm_until < cfg.duration &&
+                   !opts.check && opts.event_budget == 0 && !sampled &&
                    deadline_s == 0 &&
                    !HasFaultEvents(run.scenario) && !cfg.hybrid.enabled &&
                    run.scenario.flows.empty();
@@ -358,6 +359,7 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
         mi.violations = &out.violations;
         mi.violation_count = out.violation_count;
         mi.phases = &phases;
+        mi.warm = out.WarmOutcome();
         // Sweep journal: grid coordinates, attempt, final status and the
         // formatted CSV cells — everything --resume needs to replay this
         // point without re-simulating it.
@@ -743,6 +745,16 @@ int ScenarioRunner::ReportAndWriteCsv(
         std::printf("    %s\n", v.Format().c_str());
       }
     }
+  }
+  size_t warm = 0, built = 0, restored = 0;
+  for (const SweepRunResult& r : results) {
+    warm += r.warm_requested ? 1 : 0;
+    built += r.warm_built ? 1 : 0;
+    restored += r.warm_restored ? 1 : 0;
+  }
+  if (warm > 0) {
+    std::printf("warm: %zu built, %zu restored, %zu cold\n", built, restored,
+                warm - built - restored);
   }
   if (!WriteCsv(csv_path, results)) {
     std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());

@@ -79,6 +79,14 @@ struct SweepRunResult {
   // itself. Both false on cold runs and fallbacks.
   bool warm_built = false;
   bool warm_restored = false;
+  // Whether the runner was asked to warm-start this point (warm sweeps on,
+  // a checkpoint instant set). A requested point that neither built nor
+  // restored fell back cold.
+  bool warm_requested = false;
+  // "built", "restored" or "cold" (manifest profile section, sweep report).
+  const char* WarmOutcome() const {
+    return warm_built ? "built" : warm_restored ? "restored" : "cold";
+  }
   // Which attempt produced this result: 0 = first try, 1 = the sweep's
   // retry-once-on-error pass. Recorded in the manifest journal.
   int attempt = 0;

@@ -11,6 +11,11 @@
 // net::SwitchNode::mutable_routes). Sweep setup drops from
 // O(jobs x fabric) to O(fabric).
 //
+// The tables are keyed by route key (net/nexthop.h). Key numbering is
+// structural, so every identically built topology numbers its keys the same
+// way; each job builds its own destination -> key map (O(nodes), a NIC
+// flap edits it in place) and only the per-switch tables are shared.
+//
 // Thread-safety: all members are immutable after construction; concurrent
 // sweep workers read them without synchronization. NextHopTable::Lookup and
 // the PathModel queries are const and allocation-free.
@@ -28,7 +33,8 @@ namespace hpcc::topo {
 class PathModel;
 
 struct FabricSnapshot {
-  // Per-switch routing tables, in Topology::switches() order.
+  // Per-switch routing tables (route key -> ECMP group), in
+  // Topology::switches() order.
   std::vector<net::NextHopTable> routes;
   // The builder's analytic path model (may be null for irregular fabrics);
   // shared because its queries are const.

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 
@@ -73,91 +72,119 @@ net::SwitchNode& Topology::switch_node(uint32_t id) {
 std::vector<int> Topology::BfsDistances(uint32_t from,
                                         bool respect_link_state) const {
   std::vector<int> dist(nodes_.size(), -1);
-  std::deque<uint32_t> q{from};
+  std::vector<uint32_t> queue{from};
   dist[from] = 0;
-  while (!q.empty()) {
-    const uint32_t n = q.front();
-    q.pop_front();
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const uint32_t n = queue[head];
     for (const Edge& e : adj_[n]) {
       if (respect_link_state && !links_[e.link].up) continue;
       if (dist[e.peer] < 0) {
         dist[e.peer] = dist[n] + 1;
-        q.push_back(e.peer);
+        queue.push_back(e.peer);
       }
     }
   }
   return dist;
 }
 
-int64_t Topology::AttachmentSwitch(uint32_t h) const {
-  if (adj_[h].size() != 1) return -1;
-  const Edge& e = adj_[h].front();
-  if (!links_[e.link].up) return -1;
-  if (!nodes_[e.peer]->IsSwitch()) return -1;
-  return static_cast<int64_t>(e.peer);
+std::vector<int> Topology::RouteDistances(uint32_t from) const {
+  // BfsDistances over the route graph: live links only, rack-keyed hosts
+  // left out (their distances stay -1).
+  std::vector<int> dist(nodes_.size(), -1);
+  std::vector<uint32_t> queue{from};
+  dist[from] = 0;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const uint32_t n = queue[head];
+    for (const Edge& e : route_adj_[n]) {
+      if (dist[e.peer] < 0) {
+        dist[e.peer] = dist[n] + 1;
+        queue.push_back(e.peer);
+      }
+    }
+  }
+  return dist;
+}
+
+void Topology::RebuildRouteEdges(uint32_t n) {
+  std::vector<Edge>& out = route_adj_[n];
+  out.clear();
+  if (RackSwitchOf(n) != kNoNode) return;
+  for (const Edge& e : adj_[n]) {
+    if (links_[e.link].up && RackSwitchOf(e.peer) == kNoNode) {
+      out.push_back(e);
+    }
+  }
+}
+
+uint32_t Topology::RackSwitchOf(uint32_t n) const {
+  if (nodes_[n]->IsSwitch() || adj_[n].size() != 1) return kNoNode;
+  const uint32_t peer = adj_[n].front().peer;
+  return nodes_[peer]->IsSwitch() ? peer : kNoNode;
+}
+
+void Topology::AssignRouteKeys() {
+  // Key 0 is kUnreachable; then keys in host order: a rack key the first
+  // time a rack switch shows up, an own key for every other host. Numbering
+  // is structural (link states only pick kUnreachable), so identically
+  // built topologies number identically and can share snapshot tables.
+  route_keys_.key.assign(nodes_.size(), net::RouteKeys::kUnreachable);
+  route_keys_.nic_port.assign(nodes_.size(), 0);
+  key_target_.assign(1, kNoNode);
+  std::vector<uint32_t> rack_key(nodes_.size(), net::RouteKeys::kNoKey);
+  for (const uint32_t h : hosts_) {
+    const uint32_t via = RackSwitchOf(h);
+    if (via == kNoNode) {
+      route_keys_.key[h] = static_cast<uint32_t>(key_target_.size());
+      key_target_.push_back(h);
+      continue;
+    }
+    if (rack_key[via] == net::RouteKeys::kNoKey) {
+      rack_key[via] = static_cast<uint32_t>(key_target_.size());
+      key_target_.push_back(via);
+    }
+    const LinkSpec& l = links_[adj_[h].front().link];
+    route_keys_.nic_port[h] =
+        static_cast<uint16_t>(l.a == via ? l.port_a : l.port_b);
+    if (l.up) route_keys_.key[h] = rack_key[via];
+  }
+  for (net::SwitchNode* sw : switch_ptrs_) {
+    sw->SetRouteKeys(&route_keys_, rack_key[sw->id()]);
+  }
+  route_adj_.assign(nodes_.size(), {});
+  for (uint32_t n = 0; n < nodes_.size(); ++n) RebuildRouteEdges(n);
 }
 
 void Topology::CollectCandidates(uint32_t node, const std::vector<int>& dist,
                                  std::vector<uint16_t>* cand) const {
-  // A node's ECMP set toward the BFS root: every up port whose peer is one
-  // hop closer. Candidate order is adjacency order == ascending port index,
-  // the canonical group order.
+  // A node's ECMP set toward the BFS root: every live port whose peer is
+  // one hop closer. Candidate order is adjacency order == ascending port
+  // index, the canonical group order.
   cand->clear();
   if (dist[node] <= 0) return;
-  for (const Edge& e : adj_[node]) {
-    if (!links_[e.link].up) continue;
-    if (dist[e.peer] >= 0 && dist[e.peer] == dist[node] - 1) {
+  for (const Edge& e : route_adj_[node]) {
+    if (dist[e.peer] == dist[node] - 1) {
       cand->push_back(static_cast<uint16_t>(e.port));
     }
   }
 }
 
-void Topology::RebuildDestination(uint32_t dst) {
-  // Per-destination BFS over links that are up.
-  const std::vector<int> dist = BfsDistances(dst);
+void Topology::RebuildKeys(const std::vector<uint32_t>& keys) {
+  // One BFS per key, from the node the key routes toward. A rack switch's
+  // slot for its own key stays empty: it answers its hosts by NIC port.
   std::vector<uint16_t>& cand = cand_scratch_;
-  for (net::SwitchNode* sw : switch_ptrs_) {
-    cand.clear();
-    if (sw->id() != dst) CollectCandidates(sw->id(), dist, &cand);
-    sw->mutable_routes().SetRoute(dst, cand.data(),
-                                  static_cast<uint32_t>(cand.size()));
-  }
-}
-
-void Topology::RebuildDestinationsBehind(uint32_t via,
-                                         const std::vector<uint32_t>& hosts) {
-  // Every path to a degree-1 host h attached to switch `via` ends with the
-  // via->h link, so d(n, h) = d(n, via) + 1 for every n != h and the ECMP
-  // candidates of any switch s != via toward h equal its candidates toward
-  // `via` — one BFS and one interned group per switch serve every host
-  // behind the same attachment point. `via` itself routes straight to each
-  // host's NIC port(s).
-  const std::vector<int> dist = BfsDistances(via);
-  std::vector<uint16_t>& cand = cand_scratch_;
-  for (net::SwitchNode* sw : switch_ptrs_) {
-    const uint32_t s = sw->id();
-    if (s == via) continue;
-    CollectCandidates(s, dist, &cand);
-    if (cand.empty()) {
-      for (const uint32_t h : hosts) {
-        sw->mutable_routes().AssignGroup(h, net::NextHopTable::kNoGroup);
-      }
-    } else {
-      const uint32_t gid = sw->mutable_routes().InternGroup(
-          cand.data(), static_cast<uint32_t>(cand.size()));
-      for (const uint32_t h : hosts) sw->mutable_routes().AssignGroup(h, gid);
+  for (const uint32_t key : keys) {
+    const uint32_t target = key_target_[key];
+    const std::vector<int> dist = RouteDistances(target);
+    for (net::SwitchNode* sw : switch_ptrs_) {
+      if (sw->id() == target) continue;
+      CollectCandidates(sw->id(), dist, &cand);
+      net::NextHopTable& table = sw->mutable_routes();
+      table.AssignGroup(key, cand.empty()
+                                 ? net::NextHopTable::kNoGroup
+                                 : table.InternGroup(
+                                       cand.data(),
+                                       static_cast<uint32_t>(cand.size())));
     }
-  }
-  net::SwitchNode& attach = *static_cast<net::SwitchNode*>(nodes_[via].get());
-  for (const uint32_t h : hosts) {
-    cand.clear();
-    for (const Edge& e : adj_[via]) {
-      if (e.peer == h && links_[e.link].up) {
-        cand.push_back(static_cast<uint16_t>(e.port));
-      }
-    }
-    attach.mutable_routes().SetRoute(h, cand.data(),
-                                     static_cast<uint32_t>(cand.size()));
   }
 }
 
@@ -186,20 +213,28 @@ class Topology::RouteTimer {
 
 void Topology::RecomputeRoutes() {
   RouteTimer timer(this);
+  const auto num_keys = static_cast<uint32_t>(key_target_.size());
   for (net::SwitchNode* sw : switch_ptrs_) {
     // Reset rebuilds from scratch, so a shared snapshot view detaches
     // without the copy.
-    sw->mutable_routes(/*preserve=*/false)
-        .Reset(static_cast<uint32_t>(nodes_.size()));
+    sw->mutable_routes(/*preserve=*/false).Reset(num_keys);
   }
-  RebuildDestinations(hosts_);
+  std::vector<uint32_t> keys;
+  for (uint32_t key = 1; key < num_keys; ++key) keys.push_back(key);
+  RebuildKeys(keys);
 }
 
 void Topology::Finalize() {
   assert(!finalized_);
   finalized_ = true;
+  {
+    RouteTimer timer(this);
+    AssignRouteKeys();
+  }
   if (adopted_snapshot_ != nullptr &&
-      adopted_snapshot_->routes.size() == switches_.size()) {
+      adopted_snapshot_->routes.size() == switches_.size() &&
+      (switches_.empty() ||
+       adopted_snapshot_->routes.front().num_keys() == key_target_.size())) {
     // Warm start: alias the snapshot's immutable tables instead of running
     // the route BFS. A later mutation (link event) detaches just the
     // switches it touches (SwitchNode::mutable_routes).
@@ -247,48 +282,65 @@ void Topology::SetLinkUp(size_t link_index, bool up) {
   }
 
   RouteTimer timer(this);
-  // Classify every destination against the flapped link using two BFS
-  // passes seeded at its endpoints, over the pre-change fabric:
+  // The NIC link of a rack-keyed host: the host is a leaf on no other
+  // key's path, and its rack key's slots keep routing toward the rack
+  // switch whether or not any of its hosts is up. Only its key changes.
+  for (const uint32_t end : {l.a, l.b}) {
+    const uint32_t via = RackSwitchOf(end);
+    if (via == kNoNode) continue;
+    l.up = up;
+    nodes_[l.a]->port(l.port_a).SetLinkUp(up);
+    nodes_[l.b]->port(l.port_b).SetLinkUp(up);
+    route_keys_.key[end] = up ? static_cast<const net::SwitchNode&>(*nodes_[via]).rack_key()
+                              : net::RouteKeys::kUnreachable;
+    if (route_oracle_) VerifyRoutesAgainstOracle();
+    return;
+  }
+
+  // Classify every route key against the flapped link using two BFS
+  // passes seeded at its endpoints, over the pre-change fabric. `t` is the
+  // node the key routes toward (its rack switch, or the host itself):
   //
-  //   |d(a,dst) - d(b,dst)| == 0  ->  the link is on no shortest path to
-  //       dst and (up or down) opens/closes none: untouched.
-  //   |diff| == 1  ->  only the farther endpoint's ECMP group toward dst
+  //   |d(a,t) - d(b,t)| == 0  ->  the link is on no shortest path to t and
+  //       (up or down) opens/closes none: untouched.
+  //   |diff| == 1  ->  only the farther endpoint's ECMP group toward t
   //       changes (it gains/loses the port across the link); distances are
   //       provably unchanged as long as, on a down, the farther endpoint
   //       keeps at least one other parent. O(1) group patch.
   //   otherwise (|diff| >= 2 on up, lost-last-parent on down, or a
   //       partition heal)  ->  distances shift and changes can cascade:
-  //       rebuild that destination with one BFS, or fall back to a full
-  //       RecomputeRoutes when too many destinations need it.
-  const std::vector<int> da = BfsDistances(l.a);
-  const std::vector<int> db = BfsDistances(l.b);
+  //       rebuild that key with one BFS, or fall back to a full
+  //       RecomputeRoutes when too many keys need it.
+  const std::vector<int> da = RouteDistances(l.a);
+  const std::vector<int> db = RouteDistances(l.b);
 
   struct Patch {
     net::SwitchNode* sw;
-    uint32_t dst;
+    uint32_t key;
     uint16_t port;
     bool add;
   };
   std::vector<Patch> patches;
   std::vector<uint32_t> rebuild;
-  for (const uint32_t dst : hosts_) {
-    const int xa = da[dst];
-    const int xb = db[dst];
-    if (xa < 0 && xb < 0) continue;  // neither endpoint reaches dst
+  for (uint32_t key = 1; key < key_target_.size(); ++key) {
+    const uint32_t t = key_target_[key];
+    const int xa = da[t];
+    const int xb = db[t];
+    if (xa < 0 && xb < 0) continue;  // neither endpoint reaches t
     if (xa < 0 || xb < 0) {
-      // Only possible on an up: the link heals a partition for dst.
-      rebuild.push_back(dst);
+      // Only possible on an up: the link heals a partition for t.
+      rebuild.push_back(key);
       continue;
     }
     const int diff = xa - xb;
     if (diff == 0) continue;
     if (diff > 1 || diff < -1) {
       // Only possible on an up (endpoints were not adjacent): the new link
-      // shortens paths toward dst.
-      rebuild.push_back(dst);
+      // shortens paths toward t.
+      rebuild.push_back(key);
       continue;
     }
-    // |diff| == 1: the endpoint farther from dst routes across the link.
+    // |diff| == 1: the endpoint farther from t routes across the link.
     const uint32_t farther = diff > 0 ? l.a : l.b;
     const uint16_t fport =
         static_cast<uint16_t>(diff > 0 ? l.port_a : l.port_b);
@@ -298,73 +350,47 @@ void Topology::SetLinkUp(size_t link_index, bool up) {
       // routes through, so no switch table changes; a multi-homed host
       // losing a parent can shift distances for switches routing through
       // it — rebuild exactly.
-      if (!up && adj_[farther].size() > 1) rebuild.push_back(dst);
+      if (!up && adj_[farther].size() > 1) rebuild.push_back(key);
       continue;
     }
     auto* sw = static_cast<net::SwitchNode*>(&fn);
     if (up) {
-      patches.push_back(Patch{sw, dst, fport, /*add=*/true});
+      patches.push_back(Patch{sw, key, fport, /*add=*/true});
       continue;
     }
-    const net::NextHopTable::Group g = sw->routes().Lookup(dst);
+    const net::NextHopTable::Group g = sw->routes().Lookup(key);
     const bool has_port =
         std::binary_search(g.ports, g.ports + g.size, fport);
     if (g.size >= 2 && has_port) {
-      patches.push_back(Patch{sw, dst, fport, /*add=*/false});
+      patches.push_back(Patch{sw, key, fport, /*add=*/false});
     } else {
       // Last parent lost (or an unexpected table state): exact rebuild.
-      rebuild.push_back(dst);
+      rebuild.push_back(key);
     }
   }
 
   l.up = up;
   nodes_[l.a]->port(l.port_a).SetLinkUp(up);
   nodes_[l.b]->port(l.port_b).SetLinkUp(up);
+  RebuildRouteEdges(l.a);
+  RebuildRouteEdges(l.b);
 
   // Beyond this bound incremental repair is no cheaper than one
   // from-scratch pass, so it degrades gracefully to the full rebuild.
-  const size_t bound = std::max<size_t>(hosts_.size() / 2, 16);
+  const size_t bound = std::max<size_t>(key_target_.size() / 2, 16);
   if (rebuild.size() > bound) {
     RecomputeRoutes();
   } else {
     for (const Patch& p : patches) {
       if (p.add) {
-        p.sw->mutable_routes().AddPort(p.dst, p.port);
+        p.sw->mutable_routes().AddPort(p.key, p.port);
       } else {
-        p.sw->mutable_routes().RemovePort(p.dst, p.port);
+        p.sw->mutable_routes().RemovePort(p.key, p.port);
       }
     }
-    RebuildDestinations(rebuild);
+    RebuildKeys(rebuild);
   }
   if (route_oracle_) VerifyRoutesAgainstOracle();
-}
-
-void Topology::RebuildDestinations(const std::vector<uint32_t>& dsts) {
-  if (dsts.empty()) return;
-  // Share BFS work exactly like RecomputeRoutes: destinations behind the
-  // same attachment switch rebuild together (a whole pod losing its path
-  // through a flapped core costs one BFS per rack, not one per host).
-  std::vector<std::vector<uint32_t>> behind(nodes_.size());
-  std::vector<uint32_t> group_order;
-  for (const uint32_t dst : dsts) {
-    const int64_t via = AttachmentSwitch(dst);
-    if (via >= 0) {
-      if (behind[static_cast<size_t>(via)].empty()) {
-        group_order.push_back(static_cast<uint32_t>(via));
-      }
-      behind[static_cast<size_t>(via)].push_back(dst);
-    } else if (adj_[dst].size() == 1 && !links_[adj_[dst].front().link].up) {
-      // Sole NIC link down: unreachable from everywhere.
-      for (net::SwitchNode* sw : switch_ptrs_) {
-        sw->mutable_routes().AssignGroup(dst, net::NextHopTable::kNoGroup);
-      }
-    } else {
-      RebuildDestination(dst);
-    }
-  }
-  for (const uint32_t via : group_order) {
-    RebuildDestinationsBehind(via, behind[via]);
-  }
 }
 
 void Topology::VerifyRoutesAgainstOracle() {
@@ -383,7 +409,7 @@ void Topology::VerifyRoutesAgainstOracle() {
           }
         }
       }
-      if (want != sw->routes().PortsOf(dst)) {
+      if (want != sw->PortsOf(dst)) {
         throw std::logic_error(
             "route oracle mismatch: switch " + sw->name() + " dst " +
             nodes_[dst]->name() + " has a different ECMP set than a dense "
@@ -573,7 +599,7 @@ sim::TimePs Topology::IdealFct(uint32_t src, uint32_t dst,
 }
 
 size_t Topology::RoutingResidentBytes() const {
-  size_t total = 0;
+  size_t total = route_keys_.resident_bytes();
   for (const net::SwitchNode* sw : switch_ptrs_) {
     total += sw->routes().resident_bytes();
   }
@@ -583,7 +609,9 @@ size_t Topology::RoutingResidentBytes() const {
 size_t Topology::RoutingExpandedPortEntries() const {
   size_t total = 0;
   for (const net::SwitchNode* sw : switch_ptrs_) {
-    total += sw->routes().expanded_port_entries();
+    for (uint32_t dst = 0; dst < nodes_.size(); ++dst) {
+      total += sw->Lookup(dst).size;
+    }
   }
   return total;
 }

@@ -1,11 +1,14 @@
 // Topology: owns all nodes, wires links, computes shortest-path ECMP routes,
 // and provides base-RTT / ideal-FCT queries for FCT-slowdown accounting.
 //
-// Routing state lives in per-switch interned next-hop-group tables
-// (net/nexthop.h): dst -> shared ECMP port set. Topology is the only writer:
-// Finalize()/RecomputeRoutes() build the tables from scratch, and
-// SetLinkUp() repairs them incrementally (see the implementation notes on
-// SetLinkUp) instead of rebuilding every table on every link event.
+// Routing state (net/nexthop.h) is one fabric-wide destination -> route key
+// map plus, per switch, an interned next-hop-group table: route key ->
+// shared ECMP port set. A degree-1 host is keyed by its rack switch, so
+// per-switch state grows with racks, not hosts. Topology is the only writer:
+// Finalize() numbers the keys, Finalize()/RecomputeRoutes() build the
+// tables from scratch, and SetLinkUp() repairs them per key (see the
+// implementation notes on SetLinkUp) instead of rebuilding every table on
+// every link event.
 #pragma once
 
 #include <array>
@@ -80,10 +83,12 @@ class Topology {
   // tables around it. Flows rehash onto surviving paths; HPCC senders
   // notice via the INT pathID and reset their link records (§4.1).
   //
-  // Repair is incremental: two BFS passes seeded at the link endpoints
-  // classify every destination as untouched, patchable in O(1) (one ECMP
-  // group gains/loses the flapped port), or distance-changed (rebuilt with
-  // one per-destination BFS); a full RecomputeRoutes runs only when the
+  // Repair is incremental and per route key. The NIC link of a rack-keyed
+  // host only flips that host's key between its rack and kUnreachable.
+  // Any other link: two BFS passes seeded at the link endpoints classify
+  // every key as untouched, patchable in O(1) (one ECMP group gains/loses
+  // the flapped port), or distance-changed (rebuilt with one BFS from the
+  // key's rack switch or host); a full RecomputeRoutes runs only when the
   // distance-changed set exceeds a bound. The result is exactly equal to a
   // from-scratch rebuild — pinned by the storm tests and, when
   // set_route_oracle(true) (or HPCC_ROUTE_ORACLE=1), re-verified against a
@@ -98,7 +103,7 @@ class Topology {
   }
 
   // --- Fabric snapshots (warm-start sweeps; topo/snapshot.h) -------------
-  // Captures the finalized routing state, path model and measured
+  // Captures the finalized routing tables, path model and measured
   // MaxBaseRtt into an immutable snapshot shareable across sweep jobs.
   // Call after Finalize and before any link event mutates routes.
   // `signature` is the caller's cache key for this fabric configuration
@@ -177,8 +182,11 @@ class Topology {
   sim::TimePs BaseRttViaBfs(uint32_t src, uint32_t dst) const;
   int64_t BottleneckBpsViaBfs(uint32_t src, uint32_t dst) const;
 
-  // Routing-table footprint across all switches (memory benchmarks).
+  // Routing footprint: every switch's table plus the shared key map
+  // (memory benchmarks).
   size_t RoutingResidentBytes() const;
+  // The fabric-wide destination -> route key map (valid after Finalize).
+  const net::RouteKeys& route_keys() const { return route_keys_; }
   // Port entries a dense per-destination table would hold, and the number of
   // distinct interned groups actually holding them.
   size_t RoutingExpandedPortEntries() const;
@@ -188,8 +196,9 @@ class Topology {
   // from scratch and throws std::logic_error on any divergence. Defaults to
   // the HPCC_ROUTE_ORACLE environment variable.
   void set_route_oracle(bool on) { route_oracle_ = on; }
-  // Compares the live tables against a dense recomputation (and each
-  // table's internal invariants); throws std::logic_error on mismatch.
+  // Compares every switch's per-destination answer against a dense
+  // recomputation (and each table's internal invariants); throws
+  // std::logic_error on mismatch.
   void VerifyRoutesAgainstOracle();
 
  private:
@@ -197,31 +206,41 @@ class Topology {
   // so SetLinkUp falling back to RecomputeRoutes counts once.
   class RouteTimer;
 
+  // adjacency: node -> list of (link index, out port, peer)
+  struct Edge {
+    size_t link;
+    int port;
+    uint32_t peer;
+  };
   std::vector<int> BfsDistances(uint32_t from,
                                 bool respect_link_state = true) const;
+  // Live-link distances over the route graph (route_adj_).
+  std::vector<int> RouteDistances(uint32_t from) const;
+  // Re-derives route_adj_[n] from adj_ and the current link states.
+  void RebuildRouteEdges(uint32_t n);
   // RTT contribution of one traversed link: both-way propagation + forward
   // data serialization + returning ACK serialization.
   static sim::TimePs LinkRttCost(int64_t bps, sim::TimePs delay);
 
+  static constexpr uint32_t kNoNode = 0xffffffffu;
+  // The switch a degree-1 host hangs off (its rack), whatever the link's
+  // state; kNoNode for a switch, a multi-homed host, or a host on a host.
+  uint32_t RackSwitchOf(uint32_t n) const;
+  // Numbers the route keys (structural: kUnreachable, then one per rack
+  // switch and one per other host, in host order), fills the key map from
+  // the current NIC link states, points every switch at it and builds the
+  // route graph.
+  void AssignRouteKeys();
   // ECMP candidates of `node` toward the root of the `dist` BFS (ascending
   // port order) — the single definition the full and incremental rebuild
   // paths share. The oracle keeps its own independent copy on purpose.
   void CollectCandidates(uint32_t node, const std::vector<int>& dist,
                          std::vector<uint16_t>* cand) const;
-  // Rebuilds every switch's candidate list toward `dst` with one BFS.
-  void RebuildDestination(uint32_t dst);
-  // Rebuilds a set of destinations, sharing one BFS across destinations
-  // behind the same attachment switch. Both the full pass (all hosts, on
-  // freshly reset tables) and incremental repair (the distance-changed
-  // subset) funnel through this, so the two can never diverge.
-  void RebuildDestinations(const std::vector<uint32_t>& dsts);
-  // Rebuilds routes toward every degree-1 host in `hosts` attached to
-  // switch `via`: one BFS from `via` serves them all, and each non-attach
-  // switch interns a single shared group per (switch, via) pair.
-  void RebuildDestinationsBehind(uint32_t via,
-                                 const std::vector<uint32_t>& hosts);
-  // The switch a degree-1, up-linked host hangs off; -1 otherwise.
-  int64_t AttachmentSwitch(uint32_t h) const;
+  // Rebuilds every switch's group toward each of `keys`, one BFS per key.
+  // Both the full pass (every key, on freshly reset tables) and incremental
+  // repair (the distance-changed subset) funnel through this, so the two
+  // can never diverge.
+  void RebuildKeys(const std::vector<uint32_t>& keys);
 
   sim::Simulator* simulator_;
   std::vector<std::unique_ptr<net::Node>> nodes_;
@@ -229,13 +248,17 @@ class Topology {
   std::vector<uint32_t> switches_;
   std::vector<net::SwitchNode*> switch_ptrs_;  // switches_, typed
   std::vector<LinkSpec> links_;
-  // adjacency: node -> list of (link index, out port, peer)
-  struct Edge {
-    size_t link;
-    int port;
-    uint32_t peer;
-  };
   std::vector<std::vector<Edge>> adj_;
+  // The route graph: adj_ restricted to live links, without rack-keyed
+  // hosts. A rack-keyed host is a leaf — on no shortest path between two
+  // other nodes, never a key's target, never a switch's candidate toward
+  // one — so route BFS and ECMP candidate collection skip it and a rack
+  // costs its switch's uplinks only. Empty before Finalize.
+  std::vector<std::vector<Edge>> route_adj_;
+  // dst -> route key, and key -> the node it routes toward (its rack switch
+  // or the host itself; entry 0, kUnreachable, is unused).
+  net::RouteKeys route_keys_;
+  std::vector<uint32_t> key_target_;
   std::shared_ptr<const PathModel> path_model_;
   // Keeps an adopted snapshot's tables alive while switches alias them.
   std::shared_ptr<const FabricSnapshot> adopted_snapshot_;

@@ -1,5 +1,6 @@
-// Scale-out routing core: interned next-hop groups, incremental link-event
-// repair (vs a from-scratch dense oracle), the fat-tree analytic path model,
+// Scale-out routing core: interned next-hop groups keyed by route key (a
+// rack, not a host), incremental link-event repair (vs a from-scratch dense
+// oracle), a k=64-shaped routing smoke, the fat-tree analytic path model,
 // exact MaxBaseRtt on asymmetric fabrics, and the Release-safe out-of-range
 // destination drop.
 #include <gtest/gtest.h>
@@ -74,7 +75,7 @@ TEST(NextHopTable, GroupChurnCompactsStorage) {
 
 // The seed algorithm, reimplemented here so the product code shares nothing
 // with it: per-destination BFS, candidates = up-ports one hop closer.
-std::vector<std::vector<uint16_t>> DenseRoutesFor(Topology& t, uint32_t dst) {
+std::vector<int> DenseDistancesTo(Topology& t, uint32_t dst) {
   const size_t n = t.num_nodes();
   std::vector<int> dist(n, -1);
   std::vector<uint32_t> q{dst};
@@ -91,17 +92,29 @@ std::vector<std::vector<uint16_t>> DenseRoutesFor(Topology& t, uint32_t dst) {
       }
     }
   }
-  std::vector<std::vector<uint16_t>> routes(n);
-  for (uint32_t u = 0; u < n; ++u) {
-    if (u == dst || dist[u] <= 0) continue;
-    net::Node& node = t.node(u);
-    for (int p = 0; p < node.num_ports(); ++p) {
-      if (!node.port(p).link_up()) continue;
-      const uint32_t peer = node.port(p).peer()->id();
-      if (dist[peer] >= 0 && dist[peer] == dist[u] - 1) {
-        routes[u].push_back(static_cast<uint16_t>(p));
-      }
+  return dist;
+}
+
+std::vector<uint16_t> DenseCandidates(Topology& t, const std::vector<int>& dist,
+                                      uint32_t u) {
+  std::vector<uint16_t> out;
+  if (dist[u] <= 0) return out;
+  net::Node& node = t.node(u);
+  for (int p = 0; p < node.num_ports(); ++p) {
+    if (!node.port(p).link_up()) continue;
+    const uint32_t peer = node.port(p).peer()->id();
+    if (dist[peer] >= 0 && dist[peer] == dist[u] - 1) {
+      out.push_back(static_cast<uint16_t>(p));
     }
+  }
+  return out;
+}
+
+std::vector<std::vector<uint16_t>> DenseRoutesFor(Topology& t, uint32_t dst) {
+  const std::vector<int> dist = DenseDistancesTo(t, dst);
+  std::vector<std::vector<uint16_t>> routes(t.num_nodes());
+  for (uint32_t u = 0; u < t.num_nodes(); ++u) {
+    if (u != dst) routes[u] = DenseCandidates(t, dist, u);
   }
   return routes;
 }
@@ -110,7 +123,7 @@ void ExpectTablesMatchDenseOracle(Topology& t, const char* context) {
   for (const uint32_t dst : t.hosts()) {
     const auto dense = DenseRoutesFor(t, dst);
     for (const uint32_t s : t.switches()) {
-      ASSERT_EQ(t.switch_node(s).routes().PortsOf(dst), dense[s])
+      ASSERT_EQ(t.switch_node(s).PortsOf(dst), dense[s])
           << context << ": switch " << t.switch_node(s).name() << " dst "
           << t.node(dst).name();
     }
@@ -158,12 +171,49 @@ TEST(Routing, InterningCollapsesFatTreeGroups) {
   EXPECT_GT(dense_bytes, 5 * t.RoutingResidentBytes());
 }
 
+TEST(Routing, RouteStateDoesNotGrowWithHostsPerRack) {
+  // Per-switch state is one slot per route key (rack), so sixteen times the
+  // hosts behind every ToR leaves every switch's table byte-for-byte the
+  // same size; only the one shared destination -> key map grows.
+  FatTreeOptions o;
+  o.pods = 4;
+  o.tors_per_pod = 4;
+  o.aggs_per_pod = 2;
+  o.cores_per_agg = 2;
+  o.hosts_per_tor = 4;
+  sim::Simulator s4;
+  auto small = MakeFatTree(&s4, o);
+  o.hosts_per_tor = 64;
+  sim::Simulator s64;
+  auto big = MakeFatTree(&s64, o);
+  Topology& a = *small.topo;
+  Topology& b = *big.topo;
+  ASSERT_EQ(a.switches().size(), b.switches().size());
+  size_t per_switch = 0;
+  for (size_t i = 0; i < a.switches().size(); ++i) {
+    const size_t bytes =
+        a.switch_node(a.switches()[i]).routes().resident_bytes();
+    EXPECT_EQ(b.switch_node(b.switches()[i]).routes().resident_bytes(), bytes)
+        << a.switch_node(a.switches()[i]).name();
+    per_switch += bytes;
+  }
+  EXPECT_EQ(a.RoutingResidentBytes() - a.route_keys().resident_bytes(),
+            per_switch);
+  EXPECT_EQ(b.RoutingResidentBytes() - b.route_keys().resident_bytes(),
+            per_switch);
+  EXPECT_GT(b.route_keys().resident_bytes(), a.route_keys().resident_bytes());
+  ExpectTablesMatchDenseOracle(b, "64 hosts per rack");
+}
+
 // ---- Link-flap storm: incremental repair == from-scratch rebuild -----------
 
-void FlapStorm(Topology& t, uint64_t seed, int flaps, bool verify_each) {
+// Random downs and ups; returns every link it flapped.
+std::vector<size_t> FlapStorm(Topology& t, uint64_t seed, int flaps,
+                              bool verify_each) {
   sim::Rng rng(seed);
   const auto& links = t.links();
   std::vector<size_t> down;
+  std::vector<size_t> flapped;
   for (int i = 0; i < flaps; ++i) {
     if (!down.empty() && rng.Uniform() < 0.4) {
       const size_t pick = rng.Index(down.size());
@@ -174,14 +224,26 @@ void FlapStorm(Topology& t, uint64_t seed, int flaps, bool verify_each) {
       if (!links[li].up) continue;
       t.SetLinkUp(li, false);
       down.push_back(li);
+      flapped.push_back(li);
     }
     if (verify_each) {
-      ASSERT_NO_FATAL_FAILURE(
+      EXPECT_NO_FATAL_FAILURE(
           ExpectTablesMatchDenseOracle(t, "after random flap"));
+      if (testing::Test::HasFatalFailure()) return flapped;
     }
   }
   for (const size_t li : down) t.SetLinkUp(li, true);
   ExpectTablesMatchDenseOracle(t, "after repairing all links");
+  return flapped;
+}
+
+// Applies (link, up) steps in order, checking every table after each.
+void FlapScript(Topology& t, const std::vector<std::pair<size_t, bool>>& steps,
+                const char* context) {
+  for (const auto& [li, up] : steps) {
+    t.SetLinkUp(li, up);
+    ASSERT_NO_FATAL_FAILURE(ExpectTablesMatchDenseOracle(t, context));
+  }
 }
 
 TEST(Routing, LinkFlapStormMatchesOracleOnFatTree) {
@@ -196,6 +258,58 @@ TEST(Routing, LinkFlapStormMatchesOracleOnFatTree) {
   FlapStorm(*ft.topo, 0xf1a5, 24, /*verify_each=*/true);
 }
 
+TEST(Routing, EmptiedRackKeepsRoutingTowardItsSwitch) {
+  // Every NIC link of one rack goes down, so its rack key has no live host;
+  // fabric links then flap while the rack is empty (the key's slots must
+  // still be patched and rebuilt), and the hosts come back one by one.
+  sim::Simulator s;
+  FatTreeOptions o;
+  o.pods = 3;
+  o.tors_per_pod = 2;
+  o.aggs_per_pod = 2;
+  o.cores_per_agg = 2;
+  o.hosts_per_tor = 3;
+  auto ft = MakeFatTree(&s, o);
+  Topology& t = *ft.topo;
+  const uint32_t tor = ft.tor_ids[0];
+  std::vector<size_t> nic, uplinks;
+  for (size_t i = 0; i < t.links().size(); ++i) {
+    const LinkSpec& l = t.links()[i];
+    if (l.a != tor && l.b != tor) continue;
+    const uint32_t peer = l.a == tor ? l.b : l.a;
+    (t.node(peer).IsSwitch() ? uplinks : nic).push_back(i);
+  }
+  ASSERT_EQ(nic.size(), 3u);
+  ASSERT_EQ(uplinks.size(), 2u);
+  // An agg-core link above the rack's pod: the remote side of its path.
+  size_t aggcore = t.links().size();
+  for (size_t i = 0; i < t.links().size(); ++i) {
+    const LinkSpec& l = t.links()[i];
+    if (l.a == ft.agg_ids[0] && t.node(l.b).IsSwitch() &&
+        l.b != ft.tor_ids[0] && l.b != ft.tor_ids[1]) {
+      aggcore = i;
+      break;
+    }
+  }
+  ASSERT_LT(aggcore, t.links().size());
+
+  std::vector<std::pair<size_t, bool>> steps;
+  for (const size_t li : nic) steps.emplace_back(li, false);
+  steps.emplace_back(uplinks[0], false);  // one parent left: O(1) patches
+  steps.emplace_back(aggcore, false);
+  steps.emplace_back(uplinks[1], false);  // rack cut off: rebuilds
+  steps.emplace_back(uplinks[0], true);
+  steps.emplace_back(nic[1], true);
+  steps.emplace_back(uplinks[1], true);
+  steps.emplace_back(aggcore, true);
+  steps.emplace_back(nic[0], true);
+  steps.emplace_back(nic[2], true);
+  FlapScript(t, steps, "emptied rack");
+
+  // And a random storm that also hits NIC links, on the same fabric.
+  FlapStorm(t, 0x7ac4, 40, /*verify_each=*/true);
+}
+
 TEST(Routing, LinkFlapStormMatchesOracleOnTestbed) {
   // Multi-homed hosts: link flaps hit NIC links too (farther-endpoint-is-a-
   // host classification, both degree-1 skip and multi-homed rebuild).
@@ -203,7 +317,23 @@ TEST(Routing, LinkFlapStormMatchesOracleOnTestbed) {
   TestbedOptions o;
   o.servers_per_pair = 3;
   auto tb = MakeTestbed(&s, o);
-  FlapStorm(*tb.topo, 0xbed5, 30, /*verify_each=*/true);
+  Topology& t = *tb.topo;
+  const std::vector<size_t> flapped =
+      FlapStorm(t, 0xbed5, 30, /*verify_each=*/true);
+  // The storm really took down NIC links of multi-homed hosts.
+  std::vector<int> degree(t.num_nodes(), 0);
+  for (const LinkSpec& l : t.links()) {
+    ++degree[l.a];
+    ++degree[l.b];
+  }
+  size_t multihomed_nic = 0;
+  for (const size_t li : flapped) {
+    const LinkSpec& l = t.links()[li];
+    for (const uint32_t end : {l.a, l.b}) {
+      if (!t.node(end).IsSwitch() && degree[end] > 1) ++multihomed_nic;
+    }
+  }
+  EXPECT_GT(multihomed_nic, 0u);
 }
 
 TEST(Routing, BuiltInOracleAcceptsIncrementalRepair) {
@@ -258,6 +388,74 @@ TEST(Routing, WideFatTreeSingleFlapMatchesOracle) {
   ExpectTablesMatchDenseOracle(t, "wide fat-tree, ToR-agg down");
   t.SetLinkUp(toragg, true);
   ExpectTablesMatchDenseOracle(t, "wide fat-tree, ToR-agg repaired");
+}
+
+// ---- k=64-shaped routing smoke ---------------------------------------------
+
+TEST(Routing, FatTree64ShapedRoutesFitAndMatchOracle) {
+  // 64 pods x 32 ToRs x 32 aggs, 32 cores per agg position, 32 hosts per
+  // ToR: 65,536 hosts and 5,120 switches, routing only. A dense layout would
+  // need ~335 M entries; keyed tables hold one slot per (switch, rack).
+  sim::Simulator s;
+  FatTreeOptions o;
+  o.pods = 64;
+  o.tors_per_pod = 32;
+  o.aggs_per_pod = 32;
+  o.cores_per_agg = 32;
+  o.hosts_per_tor = 32;
+  auto ft = MakeFatTree(&s, o);
+  Topology& t = *ft.topo;
+  ASSERT_EQ(t.hosts().size(), 65'536u);
+  ASSERT_EQ(t.switches().size(), 5'120u);
+  EXPECT_LE(t.RoutingResidentBytes(), 64u << 20);
+
+  // 256 seeded (switch, host) pairs, eight switches per sampled host so
+  // one dense BFS serves eight pairs. Half the switches are uniform; the
+  // other half, and every odd host, aim at what the flap below changes:
+  // hosts in pod 0 seen from core group 0 and agg position 0.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  constexpr int kHosts = 4;  // sanitizer runs are ~5x slower
+#else
+  constexpr int kHosts = 32;
+#endif
+  std::vector<uint32_t> near;
+  for (int c = 0; c < o.cores_per_agg; ++c) near.push_back(ft.core_ids[c]);
+  for (int p = 0; p < o.pods; ++p) {
+    near.push_back(ft.agg_ids[static_cast<size_t>(p * o.aggs_per_pod)]);
+  }
+  const size_t pod_hosts =
+      static_cast<size_t>(o.tors_per_pod) * o.hosts_per_tor;
+  sim::Rng rng(0x64);
+  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> samples;
+  for (int i = 0; i < kHosts; ++i) {
+    const uint32_t dst = i % 2 == 0 ? t.hosts()[rng.Index(t.hosts().size())]
+                                    : ft.host_ids[rng.Index(pod_hosts)];
+    std::vector<uint32_t> sws;
+    for (int j = 0; j < 8; ++j) {
+      sws.push_back(j % 2 == 0 ? t.switches()[rng.Index(t.switches().size())]
+                               : near[rng.Index(near.size())]);
+    }
+    samples.emplace_back(dst, std::move(sws));
+  }
+  const auto check = [&](const char* context) {
+    for (const auto& [dst, sws] : samples) {
+      const std::vector<int> dist = DenseDistancesTo(t, dst);
+      for (const uint32_t sw : sws) {
+        ASSERT_EQ(t.switch_node(sw).PortsOf(dst), DenseCandidates(t, dist, sw))
+            << context << ": switch " << t.switch_node(sw).name() << " dst "
+            << t.node(dst).name();
+      }
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(check("k=64 shape, all links up"));
+
+  // Link 0 joins agg0_0 to core0 (MakeFatTree wires agg-core links first).
+  const LinkSpec& l0 = t.links()[0];
+  ASSERT_EQ(l0.a, ft.agg_ids[0]);
+  ASSERT_EQ(l0.b, ft.core_ids[0]);
+  t.SetLinkUp(0, false);
+  ASSERT_NO_FATAL_FAILURE(check("k=64 shape, agg-core link down"));
+  EXPECT_LE(t.RoutingResidentBytes(), 64u << 20);
 }
 
 // ---- Out-of-range destination: checked kNoRoute drop ------------------------

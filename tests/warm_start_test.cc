@@ -256,6 +256,108 @@ TEST(WarmStart, CheckpointEngagesAndMatchesCold) {
   }
 }
 
+// Warm engagement is visible without timing anything: the sweep report
+// counts built / restored / cold points, and the opt-in manifest profile
+// section names each point's outcome. Three points: the builder, a member
+// that restores, and one whose link flap before the checkpoint instant
+// forces it cold. Every deterministic section stays byte-equal to the cold
+// sweep's.
+TEST(WarmStart, ReportAndProfileNameEachPointsOutcome) {
+  const char* doc = R"({
+    "name": "warm_seen",
+    "topology": {"kind": "dumbbell", "hosts_per_side": 4,
+                  "host_gbps": 100, "trunk_gbps": 400},
+    "cc": {"scheme": "hpcc"},
+    "workload": {"load": 0.3, "trace": "websearch", "max_flows": 30},
+    "duration_ms": 0.5,
+    "seed": 3,
+    "events": [
+      {"type": "load_phase", "at_us": 80, "load": 0.0},
+      {"type": "incast", "at_us": 420, "fan_in": 4, "flow_bytes": 100000}
+    ],
+    "warm_start": {"until_us": 400},
+    "telemetry": {"profile": true}
+  })";
+  const scenario::Scenario base = scenario::ParseScenarioText(doc);
+  std::vector<scenario::ScenarioRun> runs(3);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    runs[i].scenario = base;
+    runs[i].scenario.events[1].incast.fan_in = 2 + static_cast<int>(i);
+    runs[i].label = "warm_seen[" + std::to_string(i) + "]";
+    runs[i].params.emplace_back("point", std::to_string(i));
+  }
+  scenario::ScenarioEvent down;
+  down.kind = scenario::ScenarioEvent::Kind::kLinkDown;
+  down.at = sim::Us(100);
+  down.link = 0;
+  scenario::ScenarioEvent up = down;
+  up.kind = scenario::ScenarioEvent::Kind::kLinkUp;
+  up.at = sim::Us(150);
+  runs[2].scenario.events.push_back(down);
+  runs[2].scenario.events.push_back(up);
+
+  const auto run_sweep = [&runs](bool warm, const std::string& tag) {
+    scenario::ScenarioRunnerOptions opts;
+    opts.jobs = 1;
+    opts.warm = warm;
+    opts.manifest = true;
+    opts.out_base = tag;
+    return scenario::ScenarioRunner(opts).RunAll(runs);
+  };
+  // The manifest minus its profile section, which alone may differ.
+  const auto deterministic = [](const std::string& path) {
+    scenario::Json m = scenario::Json::Parse(ReadFile(path));
+    m.Remove("profile");
+    return m.Dump();
+  };
+
+  const std::vector<scenario::SweepRunResult> cold =
+      run_sweep(false, "warm_seen_cold");
+  const std::vector<scenario::SweepRunResult> warm =
+      run_sweep(true, "warm_seen_warm");
+  ASSERT_EQ(warm.size(), 3u);
+  const char* want[] = {"built", "restored", "cold"};
+  for (size_t i = 0; i < warm.size(); ++i) {
+    SCOPED_TRACE(warm[i].label);
+    ASSERT_TRUE(warm[i].ok()) << warm[i].error;
+    EXPECT_TRUE(warm[i].warm_requested);
+    EXPECT_FALSE(cold[i].warm_requested);
+    EXPECT_STREQ(warm[i].WarmOutcome(), want[i]);
+    const scenario::Json m =
+        scenario::Json::Parse(ReadFile(warm[i].manifest_path));
+    const scenario::Json* profile = m.Find("profile");
+    ASSERT_NE(profile, nullptr);
+    ASSERT_NE(profile->Find("warm"), nullptr);
+    EXPECT_EQ(profile->Get("warm").AsString(), want[i]);
+    EXPECT_EQ(deterministic(warm[i].manifest_path),
+              deterministic(cold[i].manifest_path));
+    EXPECT_EQ(warm[i].result.trace_hash, cold[i].result.trace_hash);
+  }
+
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(scenario::ScenarioRunner::ReportAndWriteCsv(warm,
+                                                        "warm_seen_warm.csv"),
+            0);
+  const std::string report = testing::internal::GetCapturedStdout();
+  EXPECT_NE(report.find("warm: 1 built, 1 restored, 1 cold\n"),
+            std::string::npos)
+      << report;
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(scenario::ScenarioRunner::ReportAndWriteCsv(cold,
+                                                        "warm_seen_cold.csv"),
+            0);
+  EXPECT_EQ(testing::internal::GetCapturedStdout().find("warm:"),
+            std::string::npos);
+  EXPECT_EQ(ReadFile("warm_seen_warm.csv"), ReadFile("warm_seen_cold.csv"));
+  for (const auto* sweep : {&cold, &warm}) {
+    for (const scenario::SweepRunResult& r : *sweep) {
+      std::remove(r.manifest_path.c_str());
+    }
+  }
+  std::remove("warm_seen_warm.csv");
+  std::remove("warm_seen_cold.csv");
+}
+
 // A checkpoint records its lane count: one taken on one lane never restores
 // into a two-lane experiment (the point runs cold, bytes unchanged).
 TEST(WarmStart, CheckpointNeverCrossesLaneCounts) {
