@@ -66,13 +66,6 @@ class NextHopTable {
   // at the resulting group. count == 0 maps key back to the empty group.
   void SetRoute(uint32_t key, const uint16_t* ports, uint32_t count);
 
-  // Interns an ordered port list once; AssignGroup points a key at it. The
-  // caller must assign every interned group at least once (a zero-ref group
-  // would linger in the index until the next Reset) and `ports` must not
-  // point into this table's own storage (interning may reallocate it).
-  uint32_t InternGroup(const uint16_t* ports, uint32_t count);
-  void AssignGroup(uint32_t key, uint32_t gid);
-
   // Incremental repair: inserts/removes one port from key's candidate list
   // (keeping ascending order) by re-interning the patched list.
   void AddPort(uint32_t key, uint16_t port);
@@ -113,6 +106,11 @@ class NextHopTable {
     uint64_t hash = 0;
   };
 
+  // Interns an ordered port list once; AssignGroup points a key at it.
+  // `ports` must not point into this table's own storage (interning may
+  // reallocate it).
+  uint32_t InternGroup(const uint16_t* ports, uint32_t count);
+  void AssignGroup(uint32_t key, uint32_t gid);
   void InitEmptyGroup();
   static uint64_t HashPorts(const uint16_t* ports, uint32_t count);
   bool GroupEquals(uint32_t gid, const uint16_t* ports, uint32_t count) const;

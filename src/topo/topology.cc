@@ -69,14 +69,14 @@ net::SwitchNode& Topology::switch_node(uint32_t id) {
   return *s;
 }
 
-std::vector<int> Topology::BfsDistances(uint32_t from,
-                                        bool respect_link_state) const {
+std::vector<int> Topology::Bfs(const std::vector<std::vector<Edge>>& adj,
+                               uint32_t from, bool respect_link_state) const {
   std::vector<int> dist(nodes_.size(), -1);
   std::vector<uint32_t> queue{from};
   dist[from] = 0;
   for (size_t head = 0; head < queue.size(); ++head) {
     const uint32_t n = queue[head];
-    for (const Edge& e : adj_[n]) {
+    for (const Edge& e : adj[n]) {
       if (respect_link_state && !links_[e.link].up) continue;
       if (dist[e.peer] < 0) {
         dist[e.peer] = dist[n] + 1;
@@ -87,22 +87,14 @@ std::vector<int> Topology::BfsDistances(uint32_t from,
   return dist;
 }
 
+std::vector<int> Topology::BfsDistances(uint32_t from,
+                                        bool respect_link_state) const {
+  return Bfs(adj_, from, respect_link_state);
+}
+
 std::vector<int> Topology::RouteDistances(uint32_t from) const {
-  // BfsDistances over the route graph: live links only, rack-keyed hosts
-  // left out (their distances stay -1).
-  std::vector<int> dist(nodes_.size(), -1);
-  std::vector<uint32_t> queue{from};
-  dist[from] = 0;
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const uint32_t n = queue[head];
-    for (const Edge& e : route_adj_[n]) {
-      if (dist[e.peer] < 0) {
-        dist[e.peer] = dist[n] + 1;
-        queue.push_back(e.peer);
-      }
-    }
-  }
-  return dist;
+  // The route graph holds live links only; rack-keyed hosts stay at -1.
+  return Bfs(route_adj_, from, /*respect_link_state=*/false);
 }
 
 void Topology::RebuildRouteEdges(uint32_t n) {
@@ -178,12 +170,8 @@ void Topology::RebuildKeys(const std::vector<uint32_t>& keys) {
     for (net::SwitchNode* sw : switch_ptrs_) {
       if (sw->id() == target) continue;
       CollectCandidates(sw->id(), dist, &cand);
-      net::NextHopTable& table = sw->mutable_routes();
-      table.AssignGroup(key, cand.empty()
-                                 ? net::NextHopTable::kNoGroup
-                                 : table.InternGroup(
-                                       cand.data(),
-                                       static_cast<uint32_t>(cand.size())));
+      sw->mutable_routes().SetRoute(key, cand.data(),
+                                    static_cast<uint32_t>(cand.size()));
     }
   }
 }

@@ -212,6 +212,8 @@ class Topology {
     int port;
     uint32_t peer;
   };
+  std::vector<int> Bfs(const std::vector<std::vector<Edge>>& adj,
+                       uint32_t from, bool respect_link_state) const;
   std::vector<int> BfsDistances(uint32_t from,
                                 bool respect_link_state = true) const;
   // Live-link distances over the route graph (route_adj_).

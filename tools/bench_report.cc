@@ -46,16 +46,19 @@
 //                             file writes) — the measured cost of turning
 //                             observability on
 //   micro/route_full_k16/k32  one from-scratch RecomputeRoutes of the k=16
-//                             (1024-host) / k=32 (8192-host) fat-tree
+//                             (1024-host) / k=32 (8192-host) fat-tree: one
+//                             BFS per rack key
 //   micro/route_incr_k16/k32  one incremental SetLinkUp repair of an
 //                             agg-core link (alternating down/up) on the
-//                             same fabrics — the incr/full ratio is the
-//                             link-event repair speedup headline
+//                             same fabrics, classified per rack key — the
+//                             incr/full ratio is the link-event repair
+//                             speedup headline
 //   micro/route_resident_ratio_k32
-//                             dense-table bytes / interned next-hop-group
-//                             bytes on the k=32 fabric, x1000 (a memory
-//                             ratio, not a rate: higher = better, so the
-//                             bench_check drop gate guards compression)
+//                             dense-table bytes / rack-keyed routing bytes
+//                             (per-switch tables + the shared key map) on
+//                             the k=32 fabric, x1000 (a memory ratio, not a
+//                             rate: higher = better, so the bench_check
+//                             drop gate guards compression)
 //   macro/fattree32           the fattree32_websearch base point end to end
 //                             (8192 hosts, WebSearch load, two-tier link
 //                             flaps), forwarded pkts per wall-second
@@ -310,11 +313,12 @@ RouteBenchFabric& K32Fabric() {
   return *f;
 }
 
-// Interned-table memory headline on the k=32 fabric: bytes a dense
+// Routing memory headline on the k=32 fabric: bytes a dense
 // per-destination table would hold (vector headers + port payload; heap
 // block overhead ignored, so the figure is conservative) over the bytes the
-// next-hop-group tables actually hold. Reported as a dimensionless ratio
-// x1000 so the bench_check drop gate protects compression.
+// rack-keyed tables and the shared destination -> key map actually hold.
+// Reported as a dimensionless ratio x1000 so the bench_check drop gate
+// protects compression.
 BenchResult RouteResidentRatioK32() {
   K32Fabric().EnsureLinkUp();
   hpcc::topo::Topology& t = *K32Fabric().ft.topo;
