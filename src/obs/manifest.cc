@@ -348,6 +348,10 @@ scenario::Json BuildManifest(const ManifestInputs& in) {
       wall.Set("run_s", Num(in.phases->run_s));
       wall.Set("aggregate_s", Num(in.phases->aggregate_s));
       prof.Set("wall", wall);
+      scenario::Json faults = scenario::Json::MakeObject();
+      faults.Set("build", NumU(in.phases->build_minor_faults));
+      faults.Set("run", NumU(in.phases->run_minor_faults));
+      prof.Set("minor_faults", faults);
     }
     m.Set("profile", prof);
   }

@@ -1,8 +1,16 @@
 #include "obs/progress.h"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 
 namespace hpcc::obs {
+
+uint64_t ThreadMinorFaults() {
+  rusage ru{};
+  if (getrusage(RUSAGE_THREAD, &ru) != 0) return 0;
+  return static_cast<uint64_t>(ru.ru_minflt);
+}
 
 ProgressMeter::ProgressMeter(size_t total_jobs)
     : total_(total_jobs), start_(std::chrono::steady_clock::now()) {}

@@ -16,6 +16,7 @@
 #include "net/handoff.h"
 #include "net/switch_node.h"
 #include "sim/simulator.h"
+#include "stats/count_distribution.h"
 #include "stats/fct_recorder.h"
 #include "stats/pfc_monitor.h"
 #include "stats/queue_monitor.h"
@@ -104,7 +105,9 @@ struct ExperimentConfig {
 
 struct ExperimentResult {
   std::unique_ptr<stats::FctRecorder> fct;
-  stats::PercentileTracker queue_dist;   // bytes, sampled over (port, time)
+  // Switch data-queue bytes sampled over (port, time), held as counts per
+  // distinct occupancy: O(distinct values), not O(ports x ticks).
+  stats::CountDistribution queue_dist;
   int64_t max_queue_bytes = 0;
   double pause_time_fraction = 0;        // of total port-time
   size_t pause_events = 0;
@@ -261,7 +264,7 @@ class Experiment {
     std::vector<WarmFlowRecord> flows;  // the lane's flows, creation order
     std::unique_ptr<stats::FctRecorder> fct;
     stats::PercentileTracker short_fct_us;
-    stats::QueueMonitor::WarmState queue;
+    stats::QueueMonitor::WarmState queue;  // O(distinct occupancies)
     stats::PfcMonitor::WarmState pfc;
     // One slot per owned TrafficSource, enrollment order (the configured
     // Poisson, trace replay and incast, then the installed ones). Engaged

@@ -231,7 +231,7 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
     obs::PhaseTimers phases;
     std::unique_ptr<runner::Experiment> e;
     {
-      obs::PhaseTimer build(&phases.build_s);
+      obs::PhaseTimer build(&phases.build_s, &phases.build_minor_faults);
       e = std::make_unique<runner::Experiment>(cfg);
     }
     if (fabric_pending) {
@@ -280,7 +280,7 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
     }
     InstallEvents(*e, run.scenario);
     {
-      obs::PhaseTimer run_timer(&phases.run_s);
+      obs::PhaseTimer run_timer(&phases.run_s, &phases.run_minor_faults);
       if (warm_pending) {
         // Checkpoint builder: simulate [0, T), capture at the quiescent
         // instant, publish (unblocking every member while this run keeps

@@ -7,11 +7,25 @@
 // Add/Merge) to make subsequent reads allocation-free.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace hpcc::stats {
+
+// The percentile arithmetic every distribution here answers with: the value
+// at fractional rank p/100 * (n - 1), linearly interpolated between the two
+// adjacent ranks. `at(i)` returns the i-th smallest of the n > 0 samples.
+template <typename At>
+double RankInterpolate(size_t n, double p, At at) {
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
+  const size_t lo = static_cast<size_t>(std::floor(rank));
+  const size_t hi = std::min(lo + 1, n - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return at(lo) * (1.0 - frac) + at(hi) * frac;
+}
 
 class PercentileTracker {
  public:

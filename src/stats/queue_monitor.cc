@@ -64,7 +64,7 @@ void QueueMonitor::Sample() {
     net::SwitchNode& sw = topology_->switch_node(sid);
     for (int p = 0; p < sw.num_ports(); ++p) {
       const int64_t q = sw.port(p).queue_bytes(net::kDataPriority);
-      dist_.Add(static_cast<double>(q));
+      dist_.Add(q);
       max_seen_ = std::max(max_seen_, q);
     }
   }

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "sim/simulator.h"
-#include "stats/percentile.h"
+#include "stats/count_distribution.h"
 
 namespace hpcc::topo {
 class Topology;
@@ -16,7 +16,10 @@ class Topology;
 namespace hpcc::stats {
 
 // Samples every data-priority egress queue of every switch in the topology
-// at a fixed interval; accumulates the distribution over (port, time).
+// at a fixed interval; accumulates the distribution over (port, time). A
+// sample is one count bump, and the distribution holds one entry per
+// distinct occupancy, so its size (and the warm checkpoint's copy of it)
+// does not grow with ports x ticks.
 class QueueMonitor {
  public:
   QueueMonitor(sim::Simulator* simulator, topo::Topology* topology,
@@ -30,12 +33,12 @@ class QueueMonitor {
     use_subset_ = true;
   }
   // Folds a shard-local monitor in: the per-tick sample multiset over all
-  // shards equals the one-lane one, and percentiles sort on demand.
+  // shards equals the one-lane one, and counts add in any order.
   void Merge(const QueueMonitor& other) {
     dist_.Merge(other.dist_);
     max_seen_ = max_seen_ > other.max_seen_ ? max_seen_ : other.max_seen_;
   }
-  const PercentileTracker& distribution() const { return dist_; }
+  const CountDistribution& distribution() const { return dist_; }
   int64_t max_seen_bytes() const { return max_seen_; }
 
   // --- Warm checkpoint/restore (runner/experiment.h) ---------------------
@@ -43,7 +46,7 @@ class QueueMonitor {
   // pending tick with its original (time, seq) key, so the restored sampling
   // cadence is event-for-event identical to the checkpointing run's.
   struct WarmState {
-    PercentileTracker dist;
+    CountDistribution dist;
     int64_t max_seen = 0;
     sim::TimePs until = 0;
     bool tick_pending = false;
@@ -67,7 +70,7 @@ class QueueMonitor {
   sim::TimePs until_ = 0;
   std::vector<uint32_t> switches_;
   bool use_subset_ = false;
-  PercentileTracker dist_;
+  CountDistribution dist_;
   int64_t max_seen_ = 0;
   bool tick_pending_ = false;
   sim::TimePs tick_at_ = 0;

@@ -1,11 +1,16 @@
-// Tests for percentile tracking, FCT binning, time series and PFC stats.
+// Tests for percentile tracking, the switch-queue count distribution, FCT
+// binning, time series and PFC stats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 #include <thread>
 
+#include "runner/experiment.h"
 #include "sim/rng.h"
+#include "stats/count_distribution.h"
 #include "stats/fct_recorder.h"
 #include "stats/percentile.h"
 #include "stats/pfc_monitor.h"
@@ -122,6 +127,125 @@ TEST_P(PercentileProperty, MatchesSortedVector) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PercentileProperty,
                          ::testing::Values(3, 5, 8));
+
+constexpr double kCountPercentiles[] = {0, 0.1, 50, 90, 95, 99, 99.9, 100};
+
+// Queue-occupancy-like samples: mostly zero, the rest a few packet-size
+// multiples plus arbitrary byte counts, so values repeat and also stand alone.
+std::vector<int64_t> QueueLikeSamples(uint64_t seed, int n) {
+  sim::Rng rng(seed);
+  std::vector<int64_t> v;
+  v.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const double u = rng.Uniform();
+    if (u < 0.7) {
+      v.push_back(0);
+    } else if (u < 0.9) {
+      v.push_back(1048 * rng.UniformInt(1, 40));
+    } else {
+      v.push_back(rng.UniformInt(1, 3'000'000));
+    }
+  }
+  return v;
+}
+
+// Bit-for-bit equality of every checked percentile against the sample-vector
+// tracker fed the same samples.
+void ExpectSamePercentiles(const CountDistribution& d,
+                           const std::vector<int64_t>& samples) {
+  PercentileTracker t;
+  for (int64_t s : samples) t.Add(static_cast<double>(s));
+  ASSERT_EQ(d.Count(), t.Count());
+  for (double p : kCountPercentiles) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(d.Percentile(p)),
+              std::bit_cast<uint64_t>(t.Percentile(p)))
+        << "p" << p << ": " << d.Percentile(p) << " vs " << t.Percentile(p);
+  }
+}
+
+TEST(CountDistribution, MatchesPercentileTrackerBitForBit) {
+  std::vector<std::vector<int64_t>> sets = {
+      QueueLikeSamples(3, 20'000), QueueLikeSamples(11, 997),
+      std::vector<int64_t>(500, 0), {7'340}, {0, 52'400}, {9'000, 1'048}};
+  for (const std::vector<int64_t>& samples : sets) {
+    SCOPED_TRACE(samples.size());
+    CountDistribution d;
+    for (int64_t s : samples) d.Add(s);
+    ExpectSamePercentiles(d, samples);  // unsorted read
+    d.Sort();
+    ExpectSamePercentiles(d, samples);  // sorted read
+  }
+}
+
+TEST(CountDistribution, MergeOrderDoesNotMatter) {
+  // Four lanes of different sizes, one holding only zeros (no value slots).
+  const std::vector<std::vector<int64_t>> lanes = {
+      QueueLikeSamples(5, 3'000), QueueLikeSamples(6, 1'200),
+      QueueLikeSamples(7, 17), std::vector<int64_t>(900, 0)};
+  std::vector<int64_t> all;
+  std::vector<CountDistribution> dists(lanes.size());
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    for (int64_t s : lanes[i]) dists[i].Add(s);
+    all.insert(all.end(), lanes[i].begin(), lanes[i].end());
+  }
+  std::vector<size_t> order(lanes.size());
+  std::iota(order.begin(), order.end(), 0);
+  do {
+    CountDistribution d;
+    for (size_t lane : order) d.Merge(dists[lane]);
+    d.Sort();
+    ExpectSamePercentiles(d, all);
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(CountDistribution, EmptyIsNaNAndCountsMatch) {
+  CountDistribution d;
+  EXPECT_TRUE(d.Empty());
+  EXPECT_EQ(d.Count(), 0u);
+  EXPECT_TRUE(std::isnan(d.Percentile(50)));
+  d.Merge(CountDistribution{});
+  d.Sort();
+  EXPECT_TRUE(std::isnan(d.Percentile(0)));
+  d.Add(0);
+  d.Add(0);
+  d.Add(4'096);
+  EXPECT_FALSE(d.Empty());
+  EXPECT_EQ(d.Count(), 3u);
+  EXPECT_EQ(d.Distinct(), 2u);
+  EXPECT_EQ(d.Percentile(100), 4'096);
+  EXPECT_EQ(d.Percentile(0), 0);
+}
+
+TEST(CountDistribution, QueueMonitorStorageIsDistinctOccupancies) {
+  // 10,000 sampling ticks over every switch port of a small loaded
+  // fat-tree: the monitor's distribution and its warm-checkpoint copy hold
+  // one entry per distinct occupancy, not one per (port, tick) sample.
+  runner::ExperimentConfig cfg;
+  cfg.cc.scheme = "dcqcn";
+  cfg.load = 0.6;
+  cfg.duration = sim::Ms(1);
+  cfg.drain_factor = 0;
+  cfg.queue_sample_interval = sim::Ns(100);
+  runner::Experiment e(cfg);
+  const runner::ExperimentResult r = e.Run();
+  uint64_t ports = 0;
+  for (uint32_t s : e.topology().switches()) {
+    ports += static_cast<uint64_t>(e.topology().switch_node(s).num_ports());
+  }
+  EXPECT_EQ(r.queue_dist.Count(), 10'000 * ports);
+  EXPECT_GT(r.max_queue_bytes, 0);
+  // Occupancies are whole bytes in [0, max], and far fewer of them occur
+  // than samples are taken (~7 K distinct of 640 K here).
+  EXPECT_GT(r.queue_dist.Distinct(), 1u);
+  EXPECT_LE(r.queue_dist.Distinct(),
+            static_cast<uint64_t>(r.max_queue_bytes) + 1);
+  EXPECT_LT(r.queue_dist.Distinct() * 20, r.queue_dist.Count());
+  const auto w = e.CaptureWarmState();
+  ASSERT_EQ(w->lanes.size(), 1u);
+  const CountDistribution& held = w->lanes[0].queue.dist;
+  EXPECT_EQ(held.Count(), r.queue_dist.Count());
+  EXPECT_EQ(held.Distinct(), r.queue_dist.Distinct());
+}
 
 TEST(FctRecorder, BinsBySizeAndFloorsSlowdownAtOne) {
   FctRecorder r({1'000, 10'000});

@@ -6,14 +6,17 @@
 // telemetry off does. Plus schema smoke tests for both artifacts and the
 // per-reason drop columns' appear-only-with-drops rule.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/manifest.h"
+#include "obs/progress.h"
 #include "obs/telemetry.h"
 #include "scenario/json.h"
 #include "scenario/runner.h"
@@ -229,6 +232,47 @@ TEST(Telemetry, ProfileSectionIsOptIn) {
   ASSERT_NE(profile->Find("events_executed"), nullptr);
   ASSERT_NE(profile->Find("wall"), nullptr);
   EXPECT_GT(profile->Find("events_executed")->AsDouble(), 0.0);
+  const Json* faults = profile->Find("minor_faults");
+  ASSERT_NE(faults, nullptr);
+  EXPECT_NE(faults->Find("build"), nullptr);
+  EXPECT_NE(faults->Find("run"), nullptr);
+}
+
+TEST(Telemetry, PhaseTimerCountsThisThreadsMinorFaults) {
+  // First touches of a fresh anonymous mapping are minor faults of the
+  // touching thread, one per page (huge pages off for the mapping), and
+  // only of that thread.
+  constexpr size_t kPage = 4096;
+  constexpr size_t kBytes = 1024 * kPage;
+  double wall = 0;
+  uint64_t faults = 0;
+  {
+    obs::PhaseTimer timer(&wall, &faults);
+    void* mem = mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ASSERT_NE(mem, MAP_FAILED);
+    madvise(mem, kBytes, MADV_NOHUGEPAGE);
+    volatile char* bytes = static_cast<char*>(mem);
+    for (size_t i = 0; i < kBytes; i += kPage) bytes[i] = 1;
+    munmap(mem, kBytes);
+  }
+  EXPECT_GE(faults, kBytes / kPage);
+  EXPECT_GE(wall, 0.0);
+  uint64_t other = 0;
+  {
+    obs::PhaseTimer timer(&wall, &other);
+    std::thread t([] {
+      void* mem = mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (mem == MAP_FAILED) return;
+      madvise(mem, kBytes, MADV_NOHUGEPAGE);
+      volatile char* bytes = static_cast<char*>(mem);
+      for (size_t i = 0; i < kBytes; i += kPage) bytes[i] = 1;
+      munmap(mem, kBytes);
+    });
+    t.join();
+  }
+  EXPECT_LT(other, kBytes / kPage / 2);
 }
 
 TEST(Telemetry, CsvUnchangedByTelemetry) {
